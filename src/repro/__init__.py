@@ -23,7 +23,12 @@ Public API highlights
 # 1.2.1: canonical_json now serializes with allow_nan=False (strict JSON on
 # every payload path); byte-identical for finite payloads, but the salted
 # jobs module changed, so the bump re-blesses the salt fingerprint.
-__version__ = "1.2.1"
+# 1.3.0: the transient solver factors the linear MNA block once per step
+# size and runs Newton on the nonlinear-terminal block only; ring results
+# move in the last digits, so the bump keeps TransientJob and
+# ExperimentJob records of the dense solver from being replayed (the salt
+# does not fingerprint circuits/*).
+__version__ = "1.3.0"
 
 from . import units
 from .core import (Damping, DelayBatchResult, DelayResult,

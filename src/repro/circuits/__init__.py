@@ -3,8 +3,9 @@
 Built from scratch for the ring-oscillator / current-density experiments
 of Sec. 3.3: netlist container, element library (R, L, C, sources,
 square-law MOSFETs, behavioral switch inverters), MNA assembly, DC
-operating point and fixed-step trapezoidal/backward-Euler transient with
-per-step Newton and automatic step halving.
+operating point and fixed-step trapezoidal/backward-Euler transient (the
+linear block factored once per step size, per-step Newton on the
+nonlinear-terminal block) with automatic step halving.
 """
 
 from .ac import AcAnalysis, ac_transfer, bode_magnitude_db, find_bandwidth

@@ -5,14 +5,16 @@ branch current per inductor and per voltage source.  KCL rows come first
 (one per non-ground node), then one constitutive row per branch.
 
 All companion-model stamping for transient analysis lives in
-:mod:`repro.circuits.transient`; this module owns the index maps, the
-static (resistive + topological) stamps shared by DC and transient, and
-the Newton DC operating-point solve with gmin continuation.
+:mod:`repro.circuits.transient`; this module owns the index maps
+(including the nonlinear-terminal block the transient solver's Schur
+complement runs on), the static (resistive + topological) stamps shared
+by DC and transient, and the Newton DC operating-point solve with gmin
+continuation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -67,20 +69,90 @@ class MnaStructure:
 
     # ------------------------------------------------------------------
     def node_index(self, node: str) -> int:
-        """Row/column of a node's KCL equation; -1 for ground."""
-        return self._node_index[node]
+        """Row/column of a node's KCL equation; -1 for ground.
+
+        Raises
+        ------
+        NetlistError
+            If the circuit has no node of that name.
+        """
+        try:
+            return self._node_index[node]
+        except KeyError:
+            raise NetlistError(
+                f"circuit {self.circuit.title!r} has no node {node!r}") \
+                from None
 
     def branch_row(self, element_name: str) -> int:
-        """Row/column of a branch element's current unknown."""
-        return self._branch_index[element_name]
+        """Row/column of a branch element's current unknown.
 
-    def voltage_getter(self, x: np.ndarray) -> Callable[[str], float]:
-        """Return a node-name -> voltage lookup bound to solution vector x."""
+        Raises
+        ------
+        NetlistError
+            If the element does not exist or carries no branch current
+            (only inductors and voltage sources do).
+        """
+        try:
+            return self._branch_index[element_name]
+        except KeyError:
+            if element_name in self.circuit:
+                raise NetlistError(
+                    f"element {element_name!r} has no branch current; only "
+                    f"inductors and voltage sources carry one") from None
+            raise NetlistError(
+                f"circuit {self.circuit.title!r} has no element "
+                f"{element_name!r}") from None
+
+    def terminal_rows(self, elements) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of the ``a`` and ``b`` terminals of two-terminal elements
+        (-1 for ground), as index arrays."""
         index = self._node_index
+        return (np.array([index[e.a] for e in elements], dtype=np.intp),
+                np.array([index[e.b] for e in elements], dtype=np.intp))
+
+    def terminal_block(self) -> Tuple[np.ndarray, np.ndarray, Dict[str, int]]:
+        """Split the unknowns into the nonlinear block T and the rest L.
+
+        T holds every nonlinear-device terminal node, plus the branch
+        current of each voltage source whose terminals all lie in T or on
+        ground: such a source's constitutive row has no entry outside T,
+        so leaving its current in L would leave an empty row in the linear
+        block.  Returns the T rows and the L rows (each ascending), and the
+        T-local node index (ground -> -1) that devices stamp through.
+        """
+        terminals = {node for device in self.nonlinear
+                     for node in device.nodes if node != GROUND}
+        on_block = terminals | {GROUND}
+        t_rows = sorted(
+            [self._node_index[node] for node in terminals]
+            + [self._branch_index[source.name]
+               for source in self.voltage_sources
+               if source.a in on_block and source.b in on_block])
+        in_t = set(t_rows)
+        l_rows = [i for i in range(self.size) if i not in in_t]
+        local = {GROUND: -1}
+        for position, row in enumerate(t_rows):
+            if row < self.n_nodes:
+                local[self.node_names[row]] = position
+        return (np.array(t_rows, dtype=np.intp),
+                np.array(l_rows, dtype=np.intp), local)
+
+    def voltage_getter(self, x: np.ndarray,
+                       index: Optional[Mapping[str, int]] = None
+                       ) -> Callable[[str], float]:
+        """Return a node-name -> voltage lookup of vector x.
+
+        The lookup reads a copy of ``x`` taken now (Python floats, which
+        device stamps index faster than array elements).  ``index`` maps
+        node names to positions in ``x`` (ground -> -1); it defaults to
+        the full MNA map.
+        """
+        index = self._node_index if index is None else index
+        values = x.tolist()
 
         def voltage(node: str) -> float:
             i = index[node]
-            return 0.0 if i < 0 else float(x[i])
+            return 0.0 if i < 0 else values[i]
 
         return voltage
 
@@ -138,11 +210,19 @@ class MnaStructure:
                 rhs[ib] += value
 
     def stamp_nonlinear(self, x: np.ndarray, matrix: np.ndarray,
-                        rhs: np.ndarray) -> None:
-        """Let every nonlinear device add its linearized stamp at iterate x."""
-        voltages = self.voltage_getter(x)
+                        rhs: np.ndarray,
+                        index: Optional[Mapping[str, int]] = None) -> None:
+        """Let every nonlinear device add its linearized stamp at iterate x.
+
+        ``index`` maps device terminals to positions in ``x``, ``matrix``
+        and ``rhs`` (ground -> -1); it defaults to the full MNA map.  The
+        transient solver passes the T-local map of :meth:`terminal_block`.
+        """
+        index = self._node_index if index is None else index
+        voltages = self.voltage_getter(x, index)
+        index_of = index.__getitem__
         for device in self.nonlinear:
-            device.stamp(voltages, self.node_index, matrix, rhs)
+            device.stamp(voltages, index_of, matrix, rhs)
 
 
 def dc_operating_point(circuit: Circuit, *, t: float = 0.0,

@@ -9,10 +9,21 @@ pure backward Euler.  Companion models:
 * inductor (trapezoidal): branch row (2L/dt) i - v_ab = (2L/dt) i_n +
   v_ab(t_n); (BE): (L/dt) i - v_ab = (L/dt) i_n.
 
-Nonlinear devices are linearized each Newton iteration via their
-:meth:`~repro.circuits.elements.NonlinearDevice.stamp`.  On Newton failure
-a step is recursively halved (up to a configurable depth), which carries
-the ring-oscillator circuits of Sec. 3.3 through their switching
+The companion matrix depends only on the step size and the method, so it
+is factored once per ``(dt, method)``.  Nonlinear devices touch only the
+block T of :meth:`~repro.circuits.mna.MnaStructure.terminal_block` (their
+terminal nodes, plus the current of a voltage source sitting on them);
+the rest, L, is linear.  Per ``(dt, method)`` the solver caches
+
+    lu(A_LL),   W = A_LL^-1 A_LT,   S = A_TT - A_TL W   (Schur complement).
+
+Each step solves y_L = A_LL^-1 b_L once.  Each Newton iteration stamps the
+devices' linearization (:meth:`~repro.circuits.elements.NonlinearDevice.stamp`)
+into a copy of S, solves the small system
+(S + J) x_T = b_T - A_TL y_L + r and recovers x_L = y_L - W x_T.  A linear
+circuit has T empty and costs one back-substitution per step.  On Newton
+failure a step is recursively halved (up to a configurable depth), which
+carries the ring-oscillator circuits of Sec. 3.3 through their switching
 instants.
 """
 
@@ -23,6 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from ..errors import SimulationError
 from .elements import Resistor
@@ -92,6 +104,19 @@ class TransientResult:
         return out
 
 
+@dataclass(frozen=True)
+class _StepMatrices:
+    """The parts of the step system that depend only on (dt, method)."""
+
+    lu: Optional[tuple]        #: lu_factor(A_LL); None when L is empty
+    w: np.ndarray              #: A_LL^-1 A_LT
+    schur: np.ndarray          #: S = A_TT - A_TL W
+    a_tl: np.ndarray           #: A_TL, which folds y_L into b_T
+    cap_geq: np.ndarray        #: capacitor companion conductances
+    ind_coef: np.ndarray       #: inductor companion factor * L / dt
+    mut_coef: np.ndarray       #: factor * M / dt per stamped mutual entry
+
+
 class TransientSolver:
     """Runs fixed-step transient analysis on one circuit."""
 
@@ -100,9 +125,51 @@ class TransientSolver:
         circuit.validate()
         self.circuit = circuit
         self.options = options or TransientOptions()
-        self.structure = MnaStructure(circuit)
-        # Static matrices keyed by (dt, method); rebuilt when dt halves.
-        self._static_cache: Dict[tuple[float, str], np.ndarray] = {}
+        structure = self.structure = MnaStructure(circuit)
+
+        # Index arrays replacing per-element loops; -1 is ground, which
+        # reads 0 V from the zero appended to the state (see _with_ground).
+        caps = structure.capacitors
+        self._cap_a, self._cap_b = structure.terminal_rows(caps)
+        self._cap_c = np.array([c.capacitance for c in caps], dtype=float)
+        self._cap_has_ic = np.array([c.initial_voltage is not None
+                                     for c in caps], dtype=bool)
+        self._cap_ic = np.array([c.initial_voltage or 0.0 for c in caps],
+                                dtype=float)
+        # History scatter: +I_hist into node a and -I_hist into node b, in
+        # element order, so node sums accumulate as the stamps always did.
+        scatter = [(row, j, sign)
+                   for j, (a, b) in enumerate(zip(self._cap_a.tolist(),
+                                                  self._cap_b.tolist()))
+                   for row, sign in ((a, 1.0), (b, -1.0)) if row >= 0]
+        self._hist_rows = np.array([s[0] for s in scatter], dtype=np.intp)
+        self._hist_cap = np.array([s[1] for s in scatter], dtype=np.intp)
+        self._hist_sign = np.array([s[2] for s in scatter], dtype=float)
+
+        inductors = structure.inductors
+        self._ind_rows = np.array([structure.branch_row(e.name)
+                                   for e in inductors], dtype=np.intp)
+        self._ind_a, self._ind_b = structure.terminal_rows(inductors)
+        self._ind_l = np.array([e.inductance for e in inductors], dtype=float)
+        self._ind_i0 = np.array([e.initial_current for e in inductors],
+                                dtype=float)
+        # Mutual terms (row_a, row_b, M) unrolled into the two entries each
+        # stamps: row_a couples to row_b's current and vice versa.
+        terms = structure.mutual_terms
+        self._mut_rows = np.array([r for a, b, _ in terms for r in (a, b)],
+                                  dtype=np.intp)
+        self._mut_partner = np.array([r for a, b, _ in terms for r in (b, a)],
+                                     dtype=np.intp)
+        self._mut_m = np.array([m for _, _, m in terms for _ in (0, 1)],
+                               dtype=float)
+        self._src_rows = np.array([structure.branch_row(s.name)
+                                   for s in structure.voltage_sources],
+                                  dtype=np.intp)
+        self._src_waveforms = [s.waveform for s in structure.voltage_sources]
+
+        self._t_rows, self._l_rows, self._t_index = structure.terminal_block()
+        # Step matrices keyed by (dt, method); rebuilt when dt halves.
+        self._step_cache: Dict[tuple[float, str], _StepMatrices] = {}
 
     # ------------------------------------------------------------------
     def run(self, t_end: float, dt: float, *,
@@ -118,37 +185,21 @@ class TransientSolver:
 
         Raises
         ------
+        NetlistError
+            If ``initial_voltages`` names a node the circuit does not have.
         SimulationError
-            If Newton fails even after the configured step halvings.
+            If the step matrix is singular, or Newton fails even after the
+            configured step halvings.
         """
         if t_end <= 0.0 or dt <= 0.0:
             raise SimulationError("t_end and dt must be positive")
-        structure = self.structure
         # Tolerate float noise in t_end/dt (e.g. 2000.0000000000002) so an
         # exact multiple does not gain a spurious zero-length extra step.
         n_steps = max(1, int(math.ceil(t_end / dt * (1.0 - 1e-12))))
 
-        x = np.zeros(structure.size)
-        if initial_voltages:
-            for node, value in initial_voltages.items():
-                i = structure.node_index(node)
-                if i >= 0:
-                    x[i] = value
-        for inductor in structure.inductors:
-            x[structure.branch_row(inductor.name)] = inductor.initial_current
-
-        # Capacitor history: currents (A) and voltages (V) at time t_n.
-        cap_current = np.zeros(len(structure.capacitors))
-        cap_voltage = np.empty(len(structure.capacitors))
-        voltages = structure.voltage_getter(x)
-        for j, cap in enumerate(structure.capacitors):
-            if cap.initial_voltage is not None:
-                cap_voltage[j] = cap.initial_voltage
-            else:
-                cap_voltage[j] = voltages(cap.a) - voltages(cap.b)
-
+        x, cap_current, cap_voltage = self._initial_state(initial_voltages)
         times = np.empty(n_steps + 1)
-        states = np.empty((n_steps + 1, structure.size))
+        states = np.empty((n_steps + 1, self.structure.size))
         times[0] = 0.0
         states[0] = x
 
@@ -166,7 +217,7 @@ class TransientSolver:
             t = t_target
             times[step] = t
             states[step] = x
-        return TransientResult(structure, times, states)
+        return TransientResult(self.structure, times, states)
 
     # ------------------------------------------------------------------
     def run_adaptive(self, t_end: float, *, dt_initial: float,
@@ -193,24 +244,8 @@ class TransientSolver:
         if not 0.0 < dt_min <= dt_initial <= dt_max:
             raise SimulationError(
                 "need 0 < dt_min <= dt_initial <= dt_max")
-        structure = self.structure
 
-        x = np.zeros(structure.size)
-        if initial_voltages:
-            for node, value in initial_voltages.items():
-                i = structure.node_index(node)
-                if i >= 0:
-                    x[i] = value
-        for inductor in structure.inductors:
-            x[structure.branch_row(inductor.name)] = inductor.initial_current
-        cap_current = np.zeros(len(structure.capacitors))
-        cap_voltage = np.empty(len(structure.capacitors))
-        voltages = structure.voltage_getter(x)
-        for j, cap in enumerate(structure.capacitors):
-            cap_voltage[j] = (cap.initial_voltage
-                              if cap.initial_voltage is not None
-                              else voltages(cap.a) - voltages(cap.b))
-
+        x, cap_current, cap_voltage = self._initial_state(initial_voltages)
         times = [0.0]
         states = [x.copy()]
         t = 0.0
@@ -248,42 +283,71 @@ class TransientSolver:
                 dt = min(dt_max, 2.0 * dt)
             elif error > 0.75:
                 dt = max(dt_min, safety * dt / np.sqrt(max(error, 1e-12)))
-        return TransientResult(structure, np.asarray(times),
+        return TransientResult(self.structure, np.asarray(times),
                                np.asarray(states))
 
     # ------------------------------------------------------------------
-    def _static_matrix(self, dt: float, method: str) -> np.ndarray:
+    def _initial_state(self, initial_voltages: Optional[Mapping[str, float]]):
+        """State vector, capacitor currents and voltages at t = 0."""
+        structure = self.structure
+        x = np.zeros(structure.size)
+        if initial_voltages:
+            for node, value in initial_voltages.items():
+                i = structure.node_index(node)
+                if i >= 0:
+                    x[i] = value
+        x[self._ind_rows] = self._ind_i0
+        voltages = _with_ground(x)
+        cap_voltage = np.where(self._cap_has_ic, self._cap_ic,
+                               voltages[self._cap_a] - voltages[self._cap_b])
+        return x, np.zeros(len(cap_voltage)), cap_voltage
+
+    def _step_matrices(self, dt: float, method: str) -> _StepMatrices:
         key = (dt, method)
-        cached = self._static_cache.get(key)
+        cached = self._step_cache.get(key)
         if cached is not None:
             return cached
         structure = self.structure
+        factor = 2.0 if method == "trapezoidal" else 1.0
+        cap_geq = factor * self._cap_c / dt
+        ind_coef = factor * self._ind_l / dt
+        mut_coef = factor * self._mut_m / dt
+
         matrix = np.zeros((structure.size, structure.size))
         structure.stamp_static(matrix, gmin=self.options.gmin)
-        factor = 2.0 if method == "trapezoidal" else 1.0
-        for cap_geq, cap in self._capacitor_geq(dt, method):
-            structure.stamp_conductance(matrix,
-                                        structure.node_index(cap.a),
-                                        structure.node_index(cap.b),
-                                        cap_geq)
+        for a, b, geq in zip(self._cap_a.tolist(), self._cap_b.tolist(),
+                             cap_geq.tolist()):
+            structure.stamp_conductance(matrix, a, b, geq)
         # Branch rows carry +v_ab from stamp_static, so the trapezoidal
         # companion reads v_ab - (factor L/dt) i = -(factor L/dt) i_n [- v_ab,n].
-        for inductor in structure.inductors:
-            row = structure.branch_row(inductor.name)
-            matrix[row, row] -= factor * inductor.inductance / dt
+        matrix[self._ind_rows, self._ind_rows] -= ind_coef
         # Mutual coupling: v1 picks up M di2/dt (and symmetrically).
-        for row_a, row_b, m in structure.mutual_terms:
-            matrix[row_a, row_b] -= factor * m / dt
-            matrix[row_b, row_a] -= factor * m / dt
-        if len(self._static_cache) > 32:
-            self._static_cache.clear()
-        self._static_cache[key] = matrix
-        return matrix
+        np.subtract.at(matrix, (self._mut_rows, self._mut_partner), mut_coef)
 
-    def _capacitor_geq(self, dt: float, method: str):
-        factor = 2.0 if method == "trapezoidal" else 1.0
-        for cap in self.structure.capacitors:
-            yield factor * cap.capacitance / dt, cap
+        # Empty blocks are skipped, not handed to LAPACK: an all-terminal
+        # circuit (the inverter calibration bench) has no L, a linear
+        # circuit has no T.
+        t_rows, l_rows = self._t_rows, self._l_rows
+        a_tl = matrix[np.ix_(t_rows, l_rows)]
+        lu = None
+        w = np.zeros((l_rows.size, t_rows.size))
+        if l_rows.size:
+            lu = lu_factor(matrix[np.ix_(l_rows, l_rows)], check_finite=False)
+            # lu_factor only warns on an exactly zero pivot.
+            if not np.all(np.diagonal(lu[0])):
+                raise SimulationError(
+                    f"singular transient matrix (dt={dt:g}, {method}): "
+                    f"zero pivot in the linear block")
+            if t_rows.size:
+                w = lu_solve(lu, matrix[np.ix_(l_rows, t_rows)],
+                             check_finite=False)
+        matrices = _StepMatrices(
+            lu=lu, w=w, schur=matrix[np.ix_(t_rows, t_rows)] - a_tl @ w,
+            a_tl=a_tl, cap_geq=cap_geq, ind_coef=ind_coef, mut_coef=mut_coef)
+        if len(self._step_cache) > 32:
+            self._step_cache.clear()
+        self._step_cache[key] = matrices
+        return matrices
 
     def _advance(self, x: np.ndarray, cap_current: np.ndarray,
                  cap_voltage: np.ndarray, t: float, dt: float,
@@ -304,90 +368,91 @@ class TransientSolver:
                      cap_voltage: np.ndarray, t: float, dt: float,
                      method: str):
         structure = self.structure
-        options = self.options
         t_next = t + dt
         trapezoidal = method == "trapezoidal"
-
-        base = self._static_matrix(dt, method)
-        rhs_base = np.zeros(structure.size)
+        step = self._step_matrices(dt, method)
 
         # Capacitor companion history.
-        for j, (geq, cap) in enumerate(self._capacitor_geq(dt, method)):
-            if trapezoidal:
-                hist = geq * cap_voltage[j] + cap_current[j]
-            else:
-                hist = geq * cap_voltage[j]
-            ia = structure.node_index(cap.a)
-            ib = structure.node_index(cap.b)
-            if ia >= 0:
-                rhs_base[ia] += hist
-            if ib >= 0:
-                rhs_base[ib] -= hist
+        hist = step.cap_geq * cap_voltage
+        if trapezoidal:
+            hist += cap_current
+        # (bincount returns integers for a circuit without capacitors.)
+        rhs = np.bincount(self._hist_rows,
+                          hist[self._hist_cap] * self._hist_sign,
+                          minlength=structure.size).astype(float, copy=False)
         # Inductor companion history.
-        voltages = structure.voltage_getter(x)
-        factor = 2.0 if trapezoidal else 1.0
-        for inductor in structure.inductors:
-            row = structure.branch_row(inductor.name)
-            i_n = x[row]
-            hist = factor * inductor.inductance / dt * i_n
-            if trapezoidal:
-                hist += voltages(inductor.a) - voltages(inductor.b)
-            rhs_base[row] = -hist
-        for row_a, row_b, m in structure.mutual_terms:
-            rhs_base[row_a] -= factor * m / dt * x[row_b]
-            rhs_base[row_b] -= factor * m / dt * x[row_a]
+        ind_hist = step.ind_coef * x[self._ind_rows]
+        if trapezoidal:
+            voltages = _with_ground(x)
+            ind_hist += voltages[self._ind_a] - voltages[self._ind_b]
+        rhs[self._ind_rows] = -ind_hist
+        if self._mut_rows.size:
+            np.subtract.at(rhs, self._mut_rows,
+                           step.mut_coef * x[self._mut_partner])
         # Independent sources at t_{n+1}.
-        for source in structure.voltage_sources:
-            rhs_base[structure.branch_row(source.name)] = source.waveform(t_next)
-        structure.stamp_current_sources(rhs_base, t_next)
+        rhs[self._src_rows] = [waveform(t_next)
+                               for waveform in self._src_waveforms]
+        structure.stamp_current_sources(rhs, t_next)
 
-        # Newton iterations.
-        x_new = x.copy()
-        if not structure.nonlinear:
-            try:
-                x_new = np.linalg.solve(base, rhs_base)
-            except np.linalg.LinAlgError as exc:
-                raise SimulationError(f"singular transient matrix: {exc}") \
-                    from exc
+        if self._t_rows.size:
+            x_new = self._newton(step, rhs, x, t_next, dt)
         else:
-            converged = False
-            for _ in range(options.max_newton_iterations):
-                matrix = base.copy()
-                rhs = rhs_base.copy()
-                structure.stamp_nonlinear(x_new, matrix, rhs)
-                try:
-                    x_next = np.linalg.solve(matrix, rhs)
-                except np.linalg.LinAlgError as exc:
-                    raise SimulationError(
-                        f"singular transient matrix at t={t_next:g}: {exc}") \
-                        from exc
-                delta = x_next - x_new
-                max_delta = float(np.max(np.abs(delta))) if delta.size else 0.0
-                if max_delta > options.max_update:
-                    x_new = x_new + delta * (options.max_update / max_delta)
-                    continue
-                x_new = x_next
-                if np.all(np.abs(delta)
-                          <= options.abstol + options.reltol * np.abs(x_next)):
-                    converged = True
-                    break
-            if not converged:
-                raise SimulationError(
-                    f"Newton failed to converge at t={t_next:g} (dt={dt:g})")
+            x_new = lu_solve(step.lu, rhs, check_finite=False)
 
         # Update capacitor history at t_{n+1}.
-        new_voltages = structure.voltage_getter(x_new)
-        new_cap_current = cap_current.copy()
-        new_cap_voltage = cap_voltage.copy()
-        for j, (geq, cap) in enumerate(self._capacitor_geq(dt, method)):
-            v_next = new_voltages(cap.a) - new_voltages(cap.b)
-            if trapezoidal:
-                new_cap_current[j] = (geq * v_next
-                                      - (geq * cap_voltage[j] + cap_current[j]))
-            else:
-                new_cap_current[j] = geq * (v_next - cap_voltage[j])
-            new_cap_voltage[j] = v_next
-        return x_new, new_cap_current, new_cap_voltage
+        voltages = _with_ground(x_new)
+        v_next = voltages[self._cap_a] - voltages[self._cap_b]
+        if trapezoidal:
+            new_cap_current = step.cap_geq * v_next - hist
+        else:
+            new_cap_current = step.cap_geq * (v_next - cap_voltage)
+        return x_new, new_cap_current, v_next
+
+    def _newton(self, step: _StepMatrices, rhs: np.ndarray, x: np.ndarray,
+                t_next: float, dt: float) -> np.ndarray:
+        """Newton on the terminal block; returns the full state at t_next."""
+        options = self.options
+        t_rows, l_rows = self._t_rows, self._l_rows
+        y_l = rhs[l_rows]
+        if step.lu is not None:
+            y_l = lu_solve(step.lu, y_l, check_finite=False)
+        rhs_t = rhs[t_rows] - step.a_tl @ y_l
+
+        x_new = x.copy()
+        for _ in range(options.max_newton_iterations):
+            matrix = step.schur.copy()
+            rhs_iter = rhs_t.copy()
+            self.structure.stamp_nonlinear(x_new[t_rows], matrix, rhs_iter,
+                                           self._t_index)
+            try:
+                x_t = np.linalg.solve(matrix, rhs_iter)
+            except np.linalg.LinAlgError as exc:
+                raise SimulationError(
+                    f"singular transient matrix at t={t_next:g}: {exc}") \
+                    from exc
+            x_next = np.empty_like(x)
+            x_next[t_rows] = x_t
+            x_next[l_rows] = y_l - step.w @ x_t
+            delta = x_next - x_new
+            abs_delta = np.abs(delta)
+            max_delta = float(abs_delta.max())
+            if max_delta > options.max_update:
+                x_new = x_new + delta * (options.max_update / max_delta)
+                continue
+            x_new = x_next
+            if (abs_delta <= options.abstol
+                    + options.reltol * np.abs(x_next)).all():
+                return x_new
+        raise SimulationError(
+            f"Newton failed to converge at t={t_next:g} (dt={dt:g})")
+
+
+_GROUND_VOLTAGE = np.zeros(1)
+
+
+def _with_ground(x: np.ndarray) -> np.ndarray:
+    """``x`` with a trailing 0 V, so row index -1 (ground) reads zero."""
+    return np.concatenate((x, _GROUND_VOLTAGE))
 
 
 def simulate(circuit: Circuit, t_end: float, dt: float, *,

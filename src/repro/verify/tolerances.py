@@ -290,6 +290,17 @@ UNIT_TOLERANCES: Dict[str, float] = {
     "integration.pade_vs_exact.rel": 0.15,
     # Overshoot agreement between simulator and exact inversion (volts).
     "integration.overshoot.abs": 0.05,
+    # Transient results against the dense per-iteration solver: the
+    # reduced-ring periods and first-segment current densities pinned in
+    # tests/test_integration.py, and whole waveforms (relative to each
+    # one's peak) against the dense reference of
+    # tests/test_transient_reference.py.  The terminal-block Schur
+    # complement reorders the elimination: linear circuits stayed
+    # bitwise, the pinned ring values moved by <= 1.4e-14 relative and
+    # the reference waveforms by <= 4e-13.  The bound still sits 10^6x
+    # inside the benchmark's 1e-3 table check, so any real change to the
+    # transient numerics trips it.
+    "transient.golden.rel": 1e-9,
     # benchmarks ----------------------------------------------------------
     # Newton-only vs bracketed delay solve on identical crossings.
     "bench.solvers.newton_vs_bracketed.rel": 1e-9,

@@ -94,31 +94,52 @@ class TestThreeWayCrossValidation:
         assert errors[2] < 0.02
 
 
+#: Transient golden: the reduced ring runs below (10 segments, 9 nominal
+#: periods, 450 steps per period) as the dense-LU solver computed them.
+#: Keys are (node, l in nH/mm, inverter style); values are the probed
+#: output's period in seconds.
+GOLDEN_PERIODS = {
+    ("100nm", 1.4, "mosfet"): 2.1340463828332066e-09,
+    ("100nm", 2.6, "mosfet"): 1.00552291263874e-09,
+    ("250nm", 0.5, "mosfet"): 3.428838892351317e-09,
+    ("250nm", 2.6, "mosfet"): 5.043437610641903e-09,
+    ("100nm", 1.6, "mosfet"): 2.268815053678724e-09,
+    ("100nm", 2.0, "switch"): 2.341242226500545e-09,
+    ("100nm", 4.0, "switch"): 1.2414607306060274e-09,
+    ("100nm", 1.0, "mosfet"): 1.8430413623386928e-09,
+}
+
+#: First-segment peak and rms current density (A/m^2) of the probed line
+#: of the 100 nm, 1.0 nH/mm run, second half of the simulation.
+GOLDEN_DENSITY = {"peak": 2284867139.0654974, "rms": 1189429844.116929}
+
+
+def _ring(node, l_nh, style="mosfet"):
+    """Run one reduced ring and check its period against the golden."""
+    from repro.experiments.ring import run_ring
+    run_data = run_ring(node, l_nh, segments=10, style=style,
+                        period_budget=9.0, steps_per_period=450)
+    assert run_data.period() == pytest.approx(
+        GOLDEN_PERIODS[(node, l_nh, style)],
+        rel=unit_tolerance("transient.golden.rel"))
+    return run_data
+
+
 class TestRingOscillatorFailure:
     """The paper's Sec. 3.3.1 mechanism end to end (reduced cost)."""
 
     def test_period_collapses_above_onset_100nm(self):
-        from repro.experiments.ring import run_ring
-        low = run_ring("100nm", 1.4, segments=10, period_budget=9.0,
-                       steps_per_period=450)
-        high = run_ring("100nm", 2.6, segments=10, period_budget=9.0,
-                        steps_per_period=450)
-        period_low = low.period()
-        period_high = high.period()
+        period_low = _ring("100nm", 1.4).period()
+        period_high = _ring("100nm", 2.6).period()
         assert period_high < 0.6 * period_low
 
     def test_250nm_immune_at_same_inductance(self):
-        from repro.experiments.ring import run_ring
-        low = run_ring("250nm", 0.5, segments=10, period_budget=9.0,
-                       steps_per_period=450)
-        high = run_ring("250nm", 2.6, segments=10, period_budget=9.0,
-                        steps_per_period=450)
+        low = _ring("250nm", 0.5)
+        high = _ring("250nm", 2.6)
         assert high.period() > 0.8 * low.period()
 
     def test_input_rings_output_clean_below_onset(self):
-        from repro.experiments.ring import run_ring
-        run_data = run_ring("100nm", 1.6, segments=10, period_budget=9.0,
-                            steps_per_period=450)
+        run_data = _ring("100nm", 1.6)
         vdd = run_data.oscillator.vdd
         vin = run_data.input_waveform
         vout = run_data.output_waveform
@@ -130,24 +151,24 @@ class TestRingOscillatorFailure:
         inverter's stiff bidirectional output damps the line harder, so
         its collapse onset sits higher in l (~4 nH/mm vs ~2 for the
         calibrated MOSFET) — but the collapse itself is reproduced."""
-        from repro.experiments.ring import run_ring
-        low = run_ring("100nm", 2.0, segments=10, style="switch",
-                       period_budget=9.0, steps_per_period=450)
-        high = run_ring("100nm", 4.0, segments=10, style="switch",
-                        period_budget=9.0, steps_per_period=450)
+        low = _ring("100nm", 2.0, style="switch")
+        high = _ring("100nm", 4.0, style="switch")
         assert high.period() < 0.7 * low.period()
 
 
 class TestCurrentDensityPath:
     def test_density_reported_and_bounded(self):
         from repro.analysis.currents import current_density_report
-        from repro.experiments.ring import run_ring
         from repro.tech import NODE_100NM
-        run_data = run_ring("100nm", 1.0, segments=10, period_budget=9.0,
-                            steps_per_period=450)
+        run_data = _ring("100nm", 1.0)
         ladder = run_data.oscillator.ladders[run_data.probe_stage]
         report = current_density_report(
             run_data.result, ladder, NODE_100NM.geometry.cross_section_area)
         # Sub-MA/cm^2 regime, comfortably inside reliability limits.
         assert 1e3 < report.rms_density_a_per_cm2 < 1e7
         assert report.peak_density > report.rms_density
+        golden = unit_tolerance("transient.golden.rel")
+        assert report.peak_density == pytest.approx(
+            GOLDEN_DENSITY["peak"], rel=golden)
+        assert report.rms_density == pytest.approx(
+            GOLDEN_DENSITY["rms"], rel=golden)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuits import (Circuit, GROUND, MnaStructure, Mosfet,
                             dc_operating_point)
-from repro.errors import SimulationError
+from repro.errors import NetlistError, SimulationError
 
 
 class TestStructure:
@@ -22,6 +22,42 @@ class TestStructure:
         assert structure.node_index("a") == 0
         assert structure.branch_row("L1") == 3
         assert structure.branch_row("V1") == 4
+
+    def test_unknown_names_raise_netlist_error(self):
+        circuit = Circuit()
+        circuit.voltage_source("V1", "a", GROUND, 1.0)
+        circuit.resistor("R1", "a", GROUND, 100.0)
+        structure = MnaStructure(circuit)
+        with pytest.raises(NetlistError, match="'zz'"):
+            structure.node_index("zz")
+        with pytest.raises(NetlistError, match="'R1'.*no branch current"):
+            structure.branch_row("R1")
+        with pytest.raises(NetlistError, match="no element 'L9'"):
+            structure.branch_row("L9")
+
+    def test_terminal_block_holds_device_nodes_and_their_rail(self):
+        """T: the MOSFET terminals plus the rail source sitting on them;
+        the resistor-fed source and its node stay in the linear block."""
+        circuit = Circuit()
+        circuit.voltage_source("VDD", "vdd", GROUND, 1.2)
+        circuit.voltage_source("VIN", "src", GROUND, 0.0)
+        circuit.resistor("RIN", "src", "in", 100.0)
+        circuit.add(Mosfet(name="MN", drain="out", gate="in", source=GROUND,
+                           polarity=1, vth=0.3, beta=1e-4))
+        circuit.add(Mosfet(name="MP", drain="out", gate="in", source="vdd",
+                           polarity=-1, vth=0.3, beta=1e-4))
+        circuit.capacitor("CL", "out", GROUND, 1e-15)
+        structure = MnaStructure(circuit)
+        t_rows, l_rows, local = structure.terminal_block()
+        index = structure.node_index
+        assert t_rows.tolist() == sorted([index("vdd"), index("in"),
+                                          index("out"),
+                                          structure.branch_row("VDD")])
+        assert l_rows.tolist() == sorted([index("src"),
+                                          structure.branch_row("VIN")])
+        assert local[GROUND] == -1
+        for node in ("vdd", "in", "out"):
+            assert t_rows[local[node]] == index(node)
 
     def test_voltage_getter(self):
         import numpy as np

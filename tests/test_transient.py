@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuits import (Circuit, GROUND, Step, TransientOptions,
+from repro.circuits import (Circuit, GROUND, Mosfet, Step, TransientOptions,
                             TransientSolver, simulate)
-from repro.errors import SimulationError
+from repro.errors import NetlistError, SimulationError
 
 
 def rc_charge_circuit(r=1000.0, c=1e-12, v=1.0):
@@ -157,3 +157,54 @@ class TestSolverBehaviour:
     def test_unknown_integration_method_rejected(self):
         with pytest.raises(ValueError):
             TransientOptions(method="magic")
+
+
+class TestUnknownNames:
+    """Unknown node or element names raise NetlistError naming them."""
+
+    def test_voltage_of_unknown_node(self):
+        result = simulate(rc_charge_circuit(), 1e-10, 1e-11)
+        with pytest.raises(NetlistError, match="'nope'"):
+            result.voltage("nope")
+
+    def test_branch_current_of_resistor(self):
+        result = simulate(rc_charge_circuit(), 1e-10, 1e-11)
+        with pytest.raises(NetlistError, match="'R1'.*no branch current"):
+            result.branch_current("R1")
+
+    def test_initial_voltage_of_unknown_node(self):
+        with pytest.raises(NetlistError, match="'otu'"):
+            simulate(rc_charge_circuit(), 1e-10, 1e-11,
+                     initial_voltages={"otu": 1.0})
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+class TestSingularMatrix:
+    """Two voltage sources across one node pair make the step matrix
+    singular; the solver must say so instead of returning garbage."""
+
+    def test_parallel_sources_linear_circuit(self):
+        circuit = Circuit("parallel sources")
+        circuit.voltage_source("V1", "a", GROUND, 1.0)
+        circuit.voltage_source("V2", "a", GROUND, 1.0)
+        circuit.resistor("R1", "a", "b", 100.0)
+        circuit.capacitor("C1", "b", GROUND, 1e-12)
+        with pytest.raises(SimulationError, match="singular"):
+            simulate(circuit, 1e-10, 1e-11)
+
+    def test_parallel_rails_in_the_nonlinear_block(self):
+        """Both rail sources sit on a MOSFET terminal, so their currents
+        join the Newton block; the gate is fed through a linear part."""
+        circuit = Circuit("parallel rails")
+        circuit.voltage_source("VDD1", "vdd", GROUND, 1.2)
+        circuit.voltage_source("VDD2", "vdd", GROUND, 1.2)
+        circuit.voltage_source("VIN", "src", GROUND, Step(level=1.2))
+        circuit.resistor("RIN", "src", "in", 100.0)
+        circuit.add(Mosfet(name="MN", drain="out", gate="in", source=GROUND,
+                           polarity=1, vth=0.3, beta=1e-4))
+        circuit.add(Mosfet(name="MP", drain="out", gate="in", source="vdd",
+                           polarity=-1, vth=0.3, beta=1e-4))
+        circuit.capacitor("CL", "out", GROUND, 1e-15)
+        with pytest.raises(SimulationError, match="singular"):
+            simulate(circuit, 1e-10, 1e-11,
+                     initial_voltages={"vdd": 1.2, "out": 1.2})
