@@ -8,8 +8,6 @@ planes can only check after the fact —
 * **RPR001** event-loop purity in ``repro.serve`` (no blocking I/O in
   async bodies outside the ``Backend.run_io_async`` seam),
 * **RPR002** fault-site registry consistency (hooks vs FAULT_POINTS),
-* **RPR003** cache-salt fingerprint drift (salted numerical modules
-  may not change without a ``repro.__version__`` bump),
 * **RPR004** strict JSON (``allow_nan=False``) on engine/serve payload
   paths,
 * **RPR005** tolerance-ledger discipline in tests/benchmarks,
@@ -19,14 +17,15 @@ planes can only check after the fact —
 plus suppression hygiene (RPR900/RPR901): every inline
 ``# repro: ignore[RPRxxx] -- why`` must carry a justification and must
 still be needed, or it fails the run itself.
+
+RPR003 is retired and its id is not reused: the result store salts its
+keys with a digest of the package source, so there is no salt contract
+left to lint.
 """
 
 from .baseline import apply_baseline, load_baseline, save_baseline
 from .engine import LintEngine, LintProject, LintReport
 from .findings import Finding, Severity, Suppression
-from .fingerprint import (FINGERPRINT_PATH, SALTED_MODULES,
-                          build_artifact, current_fingerprints,
-                          source_fingerprint, write_artifact)
 from .resolver import ModuleContext, parse_suppressions
 from .rules import ALL_RULES, META_RULES, BaseRule, Rule, rule_by_id
 
@@ -35,7 +34,5 @@ __all__ = [
     "Finding", "Severity", "Suppression",
     "LintEngine", "LintProject", "LintReport",
     "ModuleContext", "parse_suppressions",
-    "FINGERPRINT_PATH", "SALTED_MODULES", "build_artifact",
-    "current_fingerprints", "source_fingerprint", "write_artifact",
     "apply_baseline", "load_baseline", "save_baseline",
 ]

@@ -8,10 +8,7 @@ Subcommands
     ``--format json`` emits the full machine-readable report (the CI
     artifact); ``--baseline FILE`` grandfathers recorded findings.
 ``baseline``
-    Record the current findings into a baseline file, and/or refresh
-    the cache-salt fingerprint artifact (``--update-fingerprint``) —
-    the release-checklist step that re-blesses the salted modules after
-    a ``repro.__version__`` bump.
+    Record the current findings into a baseline file (``--out FILE``).
 ``explain``
     Print a rule's full invariant text (what it enforces and which
     regression it descends from).
@@ -25,7 +22,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import fingerprint as _fp
 from .baseline import load_baseline, save_baseline
 from .engine import LintEngine
 from .rules import ALL_RULES, META_RULES, rule_by_id
@@ -59,22 +55,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="grandfather findings recorded in FILE")
 
     base = sub.add_parser(
-        "baseline",
-        help="record current findings and/or refresh the salt "
-             "fingerprint artifact")
+        "baseline", help="record current findings into a baseline file")
     base.add_argument("paths", nargs="*", default=None)
     base.add_argument("--root", default=".")
     base.add_argument("--out", default=None, metavar="FILE",
                       help="write a baseline of current findings to "
                            "FILE")
-    base.add_argument("--update-fingerprint", action="store_true",
-                      help="rewrite src/repro/analysis/"
-                           "salt_fingerprint.json from the current "
-                           "tree + version (release checklist)")
 
     explain = sub.add_parser(
         "explain", help="print what a rule enforces and why")
-    explain.add_argument("rule", help="rule id, e.g. RPR003")
+    explain.add_argument("rule", help="rule id, e.g. RPR004")
     return parser
 
 
@@ -110,22 +100,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    if args.out is None and not args.update_fingerprint:
-        print("repro-lint baseline: nothing to do; pass --out FILE "
-              "and/or --update-fingerprint", file=sys.stderr)
+    if args.out is None:
+        print("repro-lint baseline: nothing to do; pass --out FILE",
+              file=sys.stderr)
         return EXIT_USAGE
-    if args.update_fingerprint:
-        path = _fp.write_artifact(Path(args.root).resolve())
-        artifact = _fp.load_artifact(Path(args.root).resolve()) or {}
-        print(f"fingerprint artifact refreshed: {path} "
-              f"(version {artifact.get('version')!r}, "
-              f"{len(artifact.get('modules', {}))} modules)")
-    if args.out is not None:
-        engine = LintEngine(args.root)
-        report = engine.run(_resolve_paths(args))
-        save_baseline(Path(args.out), report.findings)
-        print(f"baseline written: {args.out} "
-              f"({len(report.findings)} findings recorded)")
+    engine = LintEngine(args.root)
+    report = engine.run(_resolve_paths(args))
+    save_baseline(Path(args.out), report.findings)
+    print(f"baseline written: {args.out} "
+          f"({len(report.findings)} findings recorded)")
     return EXIT_CLEAN
 
 

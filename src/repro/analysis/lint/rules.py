@@ -1,4 +1,4 @@
-"""The rule catalog: RPR001-RPR007, each encoding one stack invariant.
+"""The rule catalog (RPR001-RPR002, RPR004-RPR007): one invariant each.
 
 A rule is anything satisfying the :class:`Rule` protocol — an id, a
 severity, an explanation, and one (or both) of two hooks:
@@ -6,7 +6,7 @@ severity, an explanation, and one (or both) of two hooks:
 * ``check_module(ctx)`` — per-file findings from one
   :class:`~repro.analysis.lint.resolver.ModuleContext`;
 * ``check_project(project)`` — cross-file findings that need the whole
-  scanned tree (the fault-site registry walk, the salt fingerprint).
+  scanned tree (the fault-site registry walk).
 
 Every shipped rule prevents a *specific* regression class this stack
 has already paid for once; the ``explain`` text names it, so
@@ -17,10 +17,8 @@ terminal.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Protocol, Tuple
 
-from . import fingerprint as _fp
 from .findings import Finding, Severity
 from .resolver import ModuleContext, direct_body_walk
 
@@ -214,77 +212,6 @@ class FaultSiteConsistencyRule(BaseRule):
                     ctx, node,
                     f"registered fault site {site!r} has no hook call "
                     f"site; delete the registration or wire the seam")
-
-
-# ----------------------------------------------------------------------
-# RPR003 — cache-salt fingerprint drift.
-# ----------------------------------------------------------------------
-class SaltFingerprintRule(BaseRule):
-    rule_id = "RPR003"
-    title = "salted module changed without a version bump"
-    explain = (
-        "The result store replays cached payloads across runs keyed on "
-        "repro.__version__ + the engine schema.  The modules that "
-        "determine those payloads bytewise (core/kernels.py, "
-        "core/evaluate.py, engine/jobs.py) carry a committed AST "
-        "fingerprint (src/repro/analysis/salt_fingerprint.json, "
-        "docstring-insensitive).  Editing one without bumping "
-        "__version__ means stale cache records replay against new "
-        "numerics; bumping the version without refreshing the artifact "
-        "('repro-lint baseline --update-fingerprint', part of the "
-        "release checklist) leaves the gate blind for the next PR.  "
-        "Origin: PRs 3/4 each had to remember this bump by hand when "
-        "the kernel/evaluator layers landed.")
-
-    def check_project(self, project: Any) -> Iterator[Finding]:
-        root = Path(project.root)
-        current = _fp.current_fingerprints(root)
-        if not current:
-            return  # fixture/partial tree without salted modules
-        artifact = _fp.load_artifact(root)
-        if artifact is None:
-            yield Finding(
-                rule=self.rule_id, severity=self.severity,
-                path=_fp.FINGERPRINT_PATH, line=1, col=0,
-                message="salt fingerprint artifact is missing or "
-                        "unreadable; run 'repro-lint baseline "
-                        "--update-fingerprint'",
-                line_text="<artifact>")
-            return
-        version = _fp.read_version(root)
-        schema = _fp.read_engine_schema(root)
-        if (artifact.get("version") != version
-                or artifact.get("engine_schema") != schema):
-            yield Finding(
-                rule=self.rule_id, severity=self.severity,
-                path=_fp.FINGERPRINT_PATH, line=1, col=0,
-                message=f"fingerprint artifact records version "
-                        f"{artifact.get('version')!r}/schema "
-                        f"{artifact.get('engine_schema')!r} but the tree "
-                        f"is {version!r}/{schema!r}; refresh it with "
-                        f"'repro-lint baseline --update-fingerprint'",
-                line_text="<artifact-version>")
-            return
-        recorded = artifact.get("modules")
-        recorded = recorded if isinstance(recorded, dict) else {}
-        for rel, digest in sorted(current.items()):
-            if recorded.get(rel) != digest:
-                yield Finding(
-                    rule=self.rule_id, severity=self.severity,
-                    path=rel, line=1, col=0,
-                    message=f"salted module {rel} changed but "
-                            f"repro.__version__ is still {version!r}; "
-                            f"bump the version (salting the result "
-                            f"store) and refresh the fingerprint "
-                            f"artifact",
-                    line_text=f"<fingerprint:{rel}>")
-        for rel in sorted(set(recorded) - set(current)):
-            yield Finding(
-                rule=self.rule_id, severity=self.severity,
-                path=_fp.FINGERPRINT_PATH, line=1, col=0,
-                message=f"fingerprint artifact lists {rel} which is "
-                        f"missing from the tree; refresh the artifact",
-                line_text=f"<fingerprint-missing:{rel}>")
 
 
 # ----------------------------------------------------------------------
@@ -538,7 +465,6 @@ class SwallowedExceptionRule(BaseRule):
 ALL_RULES: Tuple[BaseRule, ...] = (
     BlockingCallInAsyncRule(),
     FaultSiteConsistencyRule(),
-    SaltFingerprintRule(),
     StrictJsonRule(),
     ToleranceLedgerRule(),
     LockDisciplineRule(),

@@ -2,11 +2,13 @@
 
 This package turns the library's one-shot functions into a job-oriented
 batch service.  Declarative job specs (:mod:`repro.engine.jobs`) are
-content-addressed into an on-disk result cache
-(:mod:`repro.engine.cache`) and scheduled over a serial or process-pool
-backend (:mod:`repro.engine.executor`) with per-job fault isolation and
-batch instrumentation (:mod:`repro.engine.metrics`).  The ``repro-batch``
-CLI (:mod:`repro.engine.cli`) evaluates JSON/CSV manifests
+content-addressed into a result store (:mod:`repro.engine.store`) and
+scheduled over a serial or process-pool backend
+(:mod:`repro.engine.executor`) with per-job fault isolation and batch
+instrumentation (:mod:`repro.engine.metrics`).  Store keys are salted
+with a digest of the package source, so a stored result is replayed
+only against the code that computed it.  The ``repro-batch`` CLI
+(:mod:`repro.engine.cli`) evaluates JSON/CSV manifests
 (:mod:`repro.engine.manifest`).
 
 The engine is the single evaluation path:
@@ -16,11 +18,11 @@ runner both submit their work through it.
 
 from .backends import (BACKEND_NAMES, Backend, BackendStats, ProcessBackend,
                        SerialBackend, ThreadBackend, make_backend)
-from .cache import CacheStats, ResultCache, code_version_salt, \
-    default_cache_dir
 from .executor import BatchExecutor, BatchReport, JobOutcome
-from .store import (STORE_NAMES, DiskStore, MemoryStore, ResultStore,
-                    SingleFlight, TieredStore, flight_key, make_store)
+from .store import (STORE_NAMES, CacheStats, DiskStore, MemoryStore,
+                    ResultStore, SingleFlight, TieredStore,
+                    code_version_salt, default_cache_dir, flight_key,
+                    make_store)
 from .jobs import (JOB_TYPES, BatchDelayJob, BatchOptimizeJob,
                    CriticalInductanceJob, DelayJob, ExperimentJob,
                    OptimizeJob, SweepJob, TransientJob, job_from_dict,
@@ -34,7 +36,7 @@ __all__ = [
     "BatchReport", "CacheStats", "CriticalInductanceJob",
     "DelayJob", "DiskStore", "ExperimentJob", "JOB_TYPES", "JobMetrics",
     "JobOutcome", "ManifestError", "MemoryStore", "OptimizeJob",
-    "ProcessBackend", "ResultCache", "ResultStore", "STORE_NAMES",
+    "ProcessBackend", "ResultStore", "STORE_NAMES",
     "SerialBackend", "SingleFlight", "SweepJob", "ThreadBackend",
     "TieredStore", "TransientJob", "code_version_salt",
     "default_cache_dir", "flight_key", "job_from_dict", "job_to_dict",

@@ -15,7 +15,7 @@ core.  A :class:`Backend` is the shared seam both now plug into:
   evaluator itself vectorizes across its lanes).
 
 Everything *above* the seam — cache lookups, the RC re-seed retry, the
-``_nonfinite_path`` screen, metrics, submission-order collection — is
+``nonfinite_path`` screen, metrics, submission-order collection — is
 backend-agnostic, and nothing below the seam touches result payloads,
 so every backend is bitwise identical to ``SerialBackend``
 (``tests/test_backends.py`` asserts this for successes *and* captured
@@ -46,7 +46,6 @@ does — the translated error keeps the engine's actionable
 from __future__ import annotations
 
 import asyncio
-import math
 import threading
 import time
 import traceback
@@ -57,6 +56,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..faults import hooks as _faults
+from .jobs import nonfinite_path
 from .metrics import latency_percentiles
 
 #: Selectable backend names, in the order CLIs advertise them.
@@ -69,30 +69,6 @@ DISPATCH_WAIT_WINDOW = 4096
 # ----------------------------------------------------------------------
 # The unit of execution (shared by every backend).
 # ----------------------------------------------------------------------
-def _nonfinite_path(value: Any, path: str = "result") -> Optional[str]:
-    """Dotted path of the first non-finite number in a result payload.
-
-    ``trace`` subtrees are exempt: an optimizer trace legitimately
-    records non-finite residuals from rejected probe steps.  Everywhere
-    else a NaN/inf is a solver escape, never a valid answer.
-    """
-    if isinstance(value, float):
-        return path if not math.isfinite(value) else None
-    if isinstance(value, dict):
-        for key, item in value.items():
-            if key == "trace":
-                continue
-            found = _nonfinite_path(item, f"{path}.{key}")
-            if found is not None:
-                return found
-    elif isinstance(value, (list, tuple)):
-        for index, item in enumerate(value):
-            found = _nonfinite_path(item, f"{path}[{index}]")
-            if found is not None:
-                return found
-    return None
-
-
 def _execute_job(job: Any) -> Dict[str, Any]:
     """Evaluate one job, never raising — the unit of fault isolation.
 
@@ -117,7 +93,7 @@ def _execute_job(job: Any) -> Dict[str, Any]:
                 "error_type": type(exc).__name__,
                 "traceback": traceback.format_exc(),
                 "wall_time": time.perf_counter() - start}
-    bad = _nonfinite_path(result)
+    bad = nonfinite_path(result, "result", skip="trace")
     if bad is not None:
         return {"ok": False,
                 "error": f"job produced a non-finite value at {bad} "

@@ -49,10 +49,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-# Re-exported for compatibility: these moved to repro.engine.backends
-# (tests and the serve layer import them from here).
-from .backends import (Backend, _execute_job, _nonfinite_path,  # noqa: F401
-                       make_backend)
+from .backends import Backend, make_backend
 from .jobs import job_to_dict
 from .metrics import BatchMetrics, JobMetrics, iterations_of, trace_counts_of
 from .store import Flight, ResultStore, SingleFlight, flight_key

@@ -24,6 +24,7 @@ oracles through the same executor and cache as every other evaluation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, Optional, Tuple, Type
 
@@ -76,6 +77,36 @@ def jsonify(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise TypeError(f"cannot canonicalize {type(obj).__name__}: {obj!r}")
+
+
+def nonfinite_path(value: Any, path: str = "", *,
+                   skip: Optional[str] = None) -> Optional[str]:
+    """Dotted path of the first non-finite number in ``value``, or ``None``.
+
+    The one screen for NaN/inf on every payload path: engine job
+    results, served lanes and request documents.  No electrical
+    parameter or answer is legitimately non-finite, and strict JSON
+    cannot carry one; an undefined value is ``None``.  Dict entries
+    named ``skip`` are not walked — the engine passes ``"trace"``,
+    because an optimizer trace records the non-finite residuals of
+    rejected probe steps.
+    """
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key == skip:
+                continue
+            found = nonfinite_path(item, f"{path}.{key}" if path
+                                   else str(key), skip=skip)
+            if found is not None:
+                return found
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            found = nonfinite_path(item, f"{path}[{index}]", skip=skip)
+            if found is not None:
+                return found
+    return None
 
 
 #: All registered job classes by their ``kind`` tag, for manifest/cache

@@ -5,11 +5,8 @@ Every layer that replays results — the engine's
 ``ReproService``, ``repro-verify`` and ``repro-experiments`` — funnels
 through one :class:`ResultStore` seam:
 
-* :class:`DiskStore` — the content-addressed on-disk store (formerly
-  ``repro.engine.cache.ResultCache``): records sharded by the first two
-  key hex digits, written atomically, with transparent read-through of
-  the legacy *flat* layout (``root/<key>.json``) that migrates each
-  legacy record into its shard on first hit;
+* :class:`DiskStore` — the content-addressed on-disk store: records
+  sharded by the first two key hex digits, written atomically;
 * :class:`MemoryStore` — a byte-budgeted LRU of decoded payloads; hits
   never touch the filesystem;
 * :class:`TieredStore` — memory over disk: write-through puts,
@@ -28,14 +25,17 @@ are always *answered or rejected*, never hung (the invariant the fault
 harness drives through ``store.singleflight.leader_crash``).
 
 The cache key of a job is ``SHA-256(canonical-JSON(spec) + "\\0" + salt)``
-where the salt carries the code version: results computed by one version
-of the numerical code are never replayed against another.  Only
-*successful* results are stored — a failed job is always retried by the
-next batch that contains it.
+where the salt is a digest of the ``repro`` package source
+(:func:`code_version_salt`): any edit to any module, comments included,
+starts a fresh key space, so results computed by one version of the
+code are never replayed against another.  Only *successful* results are
+stored — a failed job is always retried by the next batch that
+contains it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -46,12 +46,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from .. import __version__
 from ..faults import hooks as _faults
 from .jobs import canonical_json, job_to_dict
-
-#: Bump when the job canonical form or the result payloads change shape.
-ENGINE_SCHEMA_VERSION = 1
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -71,9 +67,32 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR)
 
 
+def source_digest(root: "os.PathLike[str] | str") -> str:
+    """SHA-256 over every ``*.py`` file under ``root``.
+
+    Files are hashed in sorted relative-path order, each as its POSIX
+    relative path, its byte length and its bytes, so renaming, adding
+    or editing a file — a comment included — changes the digest.
+    """
+    root = Path(root)
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(root).as_posix()
+                      for path in root.rglob("*.py")):
+        data = (root / rel).read_bytes()
+        digest.update(rel.encode("utf-8") + b"\0")
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
 def code_version_salt() -> str:
-    """Salt tying cache keys to the library version and engine schema."""
-    return f"repro-{__version__}+engine-schema-{ENGINE_SCHEMA_VERSION}"
+    """Salt tying cache keys to the source of the ``repro`` package.
+
+    Computed on first use (a store's construction) and then reused for
+    the life of the process.
+    """
+    return "repro-src-" + source_digest(Path(__file__).resolve().parents[1])
 
 
 def flight_key(job: Any) -> str:
@@ -189,10 +208,7 @@ class DiskStore(ResultStore):
     Records are small JSON files sharded by the first two key hex
     digits (``root/ab/<key>.json``), written atomically (temp file +
     ``os.replace``) so concurrent workers and interrupted runs cannot
-    leave a torn record.  Records written by the legacy *flat* layout
-    (``root/<key>.json``) are read through transparently and migrated
-    into their shard on first hit, so an old cache directory keeps
-    serving without a conversion pass.
+    leave a torn record.
     """
 
     name = "disk"
@@ -209,10 +225,6 @@ class DiskStore(ResultStore):
         """On-disk path of the record with the given key."""
         return self.root / key[:2] / f"{key}.json"
 
-    def _legacy_path_for(self, key: str) -> Path:
-        """Where the pre-shard flat layout kept the same record."""
-        return self.root / f"{key}.json"
-
     # ------------------------------------------------------------------
     # Lookup / store.
     # ------------------------------------------------------------------
@@ -228,22 +240,14 @@ class DiskStore(ResultStore):
         file-descriptor limit, an injected ``cache.get.os_error`` —
         must not evict a healthy record.
         """
-        key = self.key(job)
-        path = self.path_for(key)
-        legacy = False
+        path = self.path_for(self.key(job))
         try:
             if _faults.ACTIVE is not None:
                 # The record name is content-addressed (stable across
                 # runs); the cache root is not — keep event details
                 # replay-comparable.
                 _faults.fire("cache.get.os_error", record=path.name)
-            try:
-                handle = open(path, "r", encoding="utf-8")
-            except FileNotFoundError:
-                path = self._legacy_path_for(key)
-                legacy = True
-                handle = open(path, "r", encoding="utf-8")
-            with handle:
+            with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
             if _faults.ACTIVE is not None:
                 text = _faults.mutate("cache.get.torn_record", text)
@@ -262,24 +266,8 @@ class DiskStore(ResultStore):
             except OSError:
                 pass
             return None
-        if legacy:
-            self._migrate_legacy(key, path)
         self.hits += 1
         return result
-
-    def _migrate_legacy(self, key: str, legacy_path: Path) -> None:
-        """Move a flat-layout record into its shard (best-effort).
-
-        ``os.replace`` keeps the move atomic; a migration that fails
-        (read-only cache, permissions) leaves the legacy record in
-        place and read-through keeps serving it.
-        """
-        target = self.path_for(key)
-        try:
-            self._make_shard(target.parent, key)
-            os.replace(legacy_path, target)
-        except OSError:
-            pass
 
     def _make_shard(self, shard: Path, key: str) -> None:
         if _faults.ACTIVE is not None:
@@ -330,9 +318,6 @@ class DiskStore(ResultStore):
             if shard.is_dir():
                 for path in sorted(shard.glob("*.json")):
                     yield path
-        # Legacy flat-layout records not yet migrated into a shard.
-        for path in sorted(self.root.glob("*.json")):
-            yield path
 
     def tmp_files(self) -> list:
         """Orphaned writer temp files (``*.tmp``) across every shard.
@@ -345,9 +330,8 @@ class DiskStore(ResultStore):
         """
         if not self.root.is_dir():
             return []
-        return sorted([path for shard in self.root.iterdir()
-                       if shard.is_dir() for path in shard.glob("*.tmp")]
-                      + list(self.root.glob("*.tmp")))
+        return sorted(path for shard in self.root.iterdir()
+                      if shard.is_dir() for path in shard.glob("*.tmp"))
 
     def stats(self) -> CacheStats:
         """Disk occupancy and this instance's session hit/miss counts."""

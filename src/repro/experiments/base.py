@@ -25,7 +25,9 @@ class ExperimentResult:
     headers:
         Column names of the tabulated series.
     rows:
-        Data rows (one per sweep point / configuration).
+        Data rows (one per sweep point / configuration).  An undefined
+        cell is ``None`` (JSON ``null``), never NaN: the engine rejects
+        non-finite payloads.
     notes:
         Free-form commentary: paper's qualitative claims and whether the
         measured series matches them.
@@ -41,8 +43,10 @@ class ExperimentResult:
     data: Dict[str, Any] = field(default_factory=dict)
 
     def format_table(self, *, float_format: str = "{:.4g}") -> str:
-        """Render the rows as a fixed-width text table."""
+        """Render the rows as a fixed-width text table; ``None`` is "—"."""
         def fmt(cell: Any) -> str:
+            if cell is None:
+                return "—"
             if isinstance(cell, float):
                 return float_format.format(cell)
             return str(cell)

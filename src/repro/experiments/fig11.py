@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .. import units
 from ..errors import ParameterError, SimulationError
 from .base import ExperimentResult, experiment
@@ -36,20 +34,24 @@ def run(node_name: str = "100nm",
         l_values = (DEFAULT_L_VALUES_100NM if node_name == "100nm"
                     else DEFAULT_L_VALUES_250NM)
     headers = ["l (nH/mm)", "period (ps)", "period / period(l_min)"]
-    periods: list[float] = []
+    periods: list[float | None] = []
     rows = []
     for l_nh in l_values:
         run_data = run_ring(node_name, float(l_nh), segments=segments,
                             style=style, period_budget=period_budget,
                             steps_per_period=steps_per_period)
         try:
-            period = run_data.period()
+            period: float | None = run_data.period()
         except (ParameterError, SimulationError):
-            period = float("nan")
+            period = None       # not oscillating: no period to measure
         periods.append(period)
-    reference = next((p for p in periods if np.isfinite(p)), float("nan"))
+    reference = next((p for p in periods if p is not None), None)
     for l_nh, period in zip(l_values, periods):
-        rows.append([float(l_nh), units.to_ps(period), period / reference])
+        if period is None:
+            rows.append([float(l_nh), None, None])
+        else:
+            rows.append([float(l_nh), units.to_ps(period),
+                         period / reference])
     onset = _collapse_onset(list(l_values), periods)
     notes = [
         "paper (100nm): sharp period collapse around l ~ 2 nH/mm — onset of "
@@ -66,18 +68,18 @@ def run(node_name: str = "100nm",
               "periods": periods, "collapse_onset": onset})
 
 
-def _collapse_onset(l_values: list[float], periods: list[float],
+def _collapse_onset(l_values: list[float], periods: list[float | None],
                     threshold: float = 0.6) -> float | None:
     """First l whose period drops below ``threshold`` x the running maximum.
 
     Below the failure onset the period *grows* gently with l (inductive
     slow-down), so the collapse is detected against the largest period seen
-    so far, not against the first point.  A non-oscillating run (NaN) after
-    a finite one also counts as a collapse.
+    so far, not against the first point.  A non-oscillating run (``None``)
+    after a measured one also counts as a collapse.
     """
     max_so_far: float | None = None
     for l_nh, period in zip(l_values, periods):
-        if not np.isfinite(period):
+        if period is None:
             if max_so_far is not None:
                 return l_nh
             continue

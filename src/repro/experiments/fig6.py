@@ -38,7 +38,7 @@ def run(points: int = DEFAULT_POINTS, f: float = 0.5) -> ExperimentResult:
                 k_matched = node.driver.r_s / z0
                 row.append(k_matched / sweep.rc_reference.k_opt)
             else:
-                row.append(float("nan"))
+                row.append(None)    # no matched size for a pure-RC line
         rows.append(row)
     notes = [
         "paper: k ratio decreases with l toward the impedance-matched size",

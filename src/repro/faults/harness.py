@@ -234,7 +234,7 @@ def _drive_serve(plan: FaultPlan, report: RunReport,
     import http.client
     import socket
 
-    from ..engine.cache import ResultCache
+    from ..engine.store import DiskStore
     from ..serve.client import ServeClient, ServeClientError
     from ..serve.server import ServerThread
     from ..serve.service import ReproService
@@ -245,7 +245,7 @@ def _drive_serve(plan: FaultPlan, report: RunReport,
                            for rule in plan.rules)
     plan_inert = not plan.rules
 
-    cache = ResultCache(cache_root)
+    cache = DiskStore(cache_root)
     service = ReproService(cache=cache, max_batch_size=8,
                            max_linger=0.05, default_timeout=10.0)
 
@@ -398,8 +398,8 @@ def _check_metrics(report: RunReport, service: Any) -> None:
 def _drive_engine(plan: FaultPlan, report: RunReport,
                   cache_root: Path) -> None:
     """Drive the batch executor through the workload under ``plan``."""
-    from ..engine.cache import ResultCache
     from ..engine.executor import BatchExecutor
+    from ..engine.store import DiskStore
 
     workload = _workload_jobs()
     jobs = (workload["delay"] + workload["critical_inductance"]
@@ -415,7 +415,7 @@ def _drive_engine(plan: FaultPlan, report: RunReport,
                            for rule in plan.rules)
     plan_inert = not plan.rules
 
-    cache = ResultCache(cache_root)
+    cache = DiskStore(cache_root)
     executor = BatchExecutor(jobs=1, cache=cache)
     with hooks.active(plan):
         try:

@@ -25,11 +25,11 @@ deadlines ``504``, a draining server ``503``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Type
 
-from ..engine.jobs import CriticalInductanceJob, DelayJob, OptimizeJob
+from ..engine.jobs import (CriticalInductanceJob, DelayJob, OptimizeJob,
+                          nonfinite_path)
 from ..errors import ParameterError
 
 #: Request classes the service batches, mapped to their engine job spec.
@@ -103,31 +103,6 @@ class ServeRequest:
         return self.job.kind
 
 
-def _find_nonfinite(value: Any, path: str) -> Optional[str]:
-    """Path of the first non-finite number in ``value``, else ``None``.
-
-    Strict-JSON guard: ``json.loads`` happily accepts ``NaN`` and
-    ``Infinity`` tokens, but no finite electrical parameter is ever
-    legitimately non-finite — and admitting one would poison a whole
-    kernel batch (NaN propagates across vectorized lanes' shared
-    reductions in some solvers) and could round-trip into the cache.
-    """
-    if isinstance(value, float) and not math.isfinite(value):
-        return path
-    if isinstance(value, dict):
-        for key, item in value.items():
-            found = _find_nonfinite(item, f"{path}.{key}" if path else
-                                    str(key))
-            if found is not None:
-                return found
-    elif isinstance(value, (list, tuple)):
-        for index, item in enumerate(value):
-            found = _find_nonfinite(item, f"{path}[{index}]")
-            if found is not None:
-                return found
-    return None
-
-
 def parse_request(data: Any) -> ServeRequest:
     """Validate a request document and build its :class:`ServeRequest`.
 
@@ -138,7 +113,9 @@ def parse_request(data: Any) -> ServeRequest:
     if not isinstance(data, dict):
         raise BadRequestError(
             f"request must be a JSON object, got {type(data).__name__}")
-    nonfinite = _find_nonfinite(data, "")
+    # json.loads accepts NaN/Infinity tokens; a non-finite parameter
+    # would poison a whole kernel batch and could reach the cache.
+    nonfinite = nonfinite_path(data)
     if nonfinite is not None:
         raise BadRequestError(
             f"request field {nonfinite!r} is not a finite number "

@@ -35,7 +35,6 @@ baseline the serve benchmark compares micro-batching against.
 from __future__ import annotations
 
 import asyncio
-import math
 import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -45,7 +44,7 @@ from ..core.kernels import (StageBatch, critical_inductance_v,
                             threshold_delay_v)
 from ..core.optimize import optimize_repeater, optimize_repeater_many
 from ..engine.backends import Backend, make_backend
-from ..engine.jobs import _optimum_payload
+from ..engine.jobs import _optimum_payload, nonfinite_path
 from ..engine.store import ResultStore, flight_key
 from ..errors import OptimizationError
 from ..faults import hooks as _faults
@@ -78,17 +77,6 @@ def _solo_envelope(job: Any, *, screen: bool = False) -> Dict[str, Any]:
     return _screened(envelope) if screen else envelope
 
 
-def _finite(value: Any) -> bool:
-    """Every number in ``value`` is finite (``None`` margins allowed)."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, dict):
-        return all(_finite(v) for v in value.values())
-    if isinstance(value, (list, tuple)):
-        return all(_finite(v) for v in value)
-    return True
-
-
 def _screened(envelope: Dict[str, Any]) -> Dict[str, Any]:
     """Fail a lane whose result contains NaN/inf instead of serving it.
 
@@ -97,7 +85,8 @@ def _screened(envelope: Dict[str, Any]) -> Dict[str, Any]:
     — a numerical escape, or the ``kernels.threshold_delay.nan_lane``
     fault — is reported as that lane's own structured failure.
     """
-    if envelope.get("ok") and not _finite(envelope["result"]):
+    if envelope.get("ok") \
+            and nonfinite_path(envelope["result"]) is not None:
         return {"ok": False,
                 "error": "evaluation produced a non-finite result",
                 "error_type": "DelaySolverError"}

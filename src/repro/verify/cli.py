@@ -15,10 +15,11 @@ store; exit 1 on any missing or changed fixture.  ``bless`` rewrites the
 fixtures from the current code — do this only after reviewing *why* the
 numbers moved.
 
-Caching is **off by default**: the engine cache salts on the library
-version, which does not change on a source edit, so a warm cache could
-mask exactly the regressions this tool exists to catch.  Pass
-``--cache-dir`` to opt in for repeated sweeps on unchanging code.
+Caching is **off by default**: the engine store salts its keys with a
+digest of the ``repro`` source only, so a warm cache would replay
+observations across numpy/scipy upgrades — exactly the drift this tool
+exists to catch.  Pass ``--cache-dir`` to opt in for repeated sweeps in
+an unchanging environment.
 """
 
 from __future__ import annotations

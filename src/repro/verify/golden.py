@@ -3,9 +3,9 @@
 A fixture entry pins the observation one oracle produced for one case.
 Entries are keyed ``SHA-256(canonical-JSON({case-content, oracle}) +
 "\\0" + schema salt)`` — the same content-addressing discipline as
-``repro.engine.cache``, except the salt carries only the *fixture schema*
-version, not the library version: fixtures must survive version bumps and
-break only when the observation payload shape changes.
+``repro.engine.store``, except the salt carries only the *fixture schema*
+version, not a digest of the source: fixtures must survive code edits
+and break only when the observation payload shape changes.
 
 Comparison is **bitwise** on the canonical JSON of the observation:
 floats round-trip exactly through ``repr``, so any numerical drift in an

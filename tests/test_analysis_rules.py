@@ -1,4 +1,4 @@
-"""Fixture-snippet tests for every repro-lint rule (RPR001-RPR007).
+"""Fixture-snippet tests for every shipped repro-lint rule.
 
 Each rule gets a positive case (the invariant violation fires on a
 committed fixture tree), a negative case (the compliant idiom stays
@@ -10,8 +10,7 @@ rules it exercises — asserted by the self-run test at the bottom.
 
 import textwrap
 
-from repro.analysis.lint import LintEngine, write_artifact
-from repro.analysis.lint.fingerprint import source_fingerprint
+from repro.analysis.lint import LintEngine
 
 
 def run_lint(root, files, paths=("src", "tests", "benchmarks")):
@@ -175,95 +174,6 @@ class TestRPR002:
         report = run_lint(tmp_path, {
             "src/repro/engine/cache.py": _HOOK_CALLERS})
         assert findings_for(report, "RPR002") == []
-
-
-# ----------------------------------------------------------------------
-# RPR003 — cache-salt fingerprint drift.
-# ----------------------------------------------------------------------
-_SALT_TREE = {
-    "src/repro/__init__.py": '__version__ = "0.1.0"\n',
-    "src/repro/engine/store.py": 'ENGINE_SCHEMA_VERSION = "s1"\n',
-    "src/repro/core/kernels.py": """\
-        def solve(x):
-            \"\"\"Original prose.\"\"\"
-            return x * 2
-    """,
-}
-
-
-def _write_tree(root, files):
-    for rel, source in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(source), encoding="utf-8")
-
-
-class TestRPR003:
-    def test_missing_artifact_fires(self, tmp_path):
-        report = run_lint(tmp_path, _SALT_TREE)
-        hits = findings_for(report, "RPR003")
-        assert len(hits) == 1
-        assert "artifact is missing" in hits[0].message
-
-    def test_blessed_tree_is_clean(self, tmp_path):
-        _write_tree(tmp_path, _SALT_TREE)
-        write_artifact(tmp_path)
-        report = run_lint(tmp_path, {})
-        assert findings_for(report, "RPR003") == []
-
-    def test_code_edit_without_version_bump_fires(self, tmp_path):
-        _write_tree(tmp_path, _SALT_TREE)
-        write_artifact(tmp_path)
-        report = run_lint(tmp_path, {
-            "src/repro/core/kernels.py": """\
-                def solve(x):
-                    return x * 3
-            """})
-        hits = findings_for(report, "RPR003")
-        assert len(hits) == 1
-        assert "changed but repro.__version__ is still '0.1.0'" in \
-            hits[0].message
-        assert hits[0].path == "src/repro/core/kernels.py"
-
-    def test_docstring_edit_does_not_fire(self, tmp_path):
-        _write_tree(tmp_path, _SALT_TREE)
-        write_artifact(tmp_path)
-        report = run_lint(tmp_path, {
-            "src/repro/core/kernels.py": """\
-                def solve(x):
-                    \"\"\"Rewritten prose, same numerics.\"\"\"
-                    return x * 2
-            """})
-        assert findings_for(report, "RPR003") == []
-
-    def test_version_bump_without_refresh_fires(self, tmp_path):
-        _write_tree(tmp_path, _SALT_TREE)
-        write_artifact(tmp_path)
-        report = run_lint(tmp_path, {
-            "src/repro/__init__.py": '__version__ = "0.2.0"\n'})
-        hits = findings_for(report, "RPR003")
-        assert len(hits) == 1
-        assert "refresh it with" in hits[0].message
-
-    def test_bump_plus_refresh_is_clean(self, tmp_path):
-        _write_tree(tmp_path, _SALT_TREE)
-        _write_tree(tmp_path, {
-            "src/repro/__init__.py": '__version__ = "0.2.0"\n',
-            "src/repro/core/kernels.py": """\
-                def solve(x):
-                    return x * 3
-            """})
-        write_artifact(tmp_path)
-        report = run_lint(tmp_path, {})
-        assert findings_for(report, "RPR003") == []
-
-    def test_fingerprint_ignores_comments_and_docstrings(self):
-        base = "def f(x):\n    return x + 1\n"
-        prose = ('def f(x):\n    """Say things."""\n'
-                 "    # a comment\n    return x + 1\n")
-        changed = "def f(x):\n    return x + 2\n"
-        assert source_fingerprint(base) == source_fingerprint(prose)
-        assert source_fingerprint(base) != source_fingerprint(changed)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ import asyncio
 import pytest
 
 from repro import NODE_100NM, OptimizerMethod, units
-from repro.engine import BatchExecutor, ResultCache
+from repro.engine import BatchExecutor
+from repro.engine.store import DiskStore
 from repro.engine.backends import (BACKEND_NAMES, Backend, ProcessBackend,
                                    SerialBackend, ThreadBackend,
                                    make_backend)
@@ -82,7 +83,7 @@ class TestParity:
         pooled backends into the same payload."""
         jobs = mixed_jobs()
         primed = [jobs[1], jobs[4]]  # one delay lane, the batch job
-        cache = ResultCache(tmp_path / name)
+        cache = DiskStore(tmp_path / name)
         with BatchExecutor(jobs=1, cache=cache, backend="serial") as warm:
             warm.run(primed)
         with BatchExecutor(jobs=2, cache=cache, backend=name) as executor:

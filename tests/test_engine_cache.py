@@ -1,13 +1,18 @@
 """Unit tests for the content-addressed result cache."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import NODE_100NM, units
-from repro.engine.cache import (CacheStats, ResultCache, code_version_salt,
-                                default_cache_dir)
+from repro.engine.store import (CacheStats, DiskStore, code_version_salt,
+                                default_cache_dir, source_digest)
 from repro.engine.jobs import OptimizeJob
 
 
@@ -19,7 +24,7 @@ def job():
 
 @pytest.fixture()
 def cache(tmp_path):
-    return ResultCache(tmp_path / "cache")
+    return DiskStore(tmp_path / "cache")
 
 
 class TestKeys:
@@ -34,13 +39,45 @@ class TestKeys:
         assert cache.key(job) != cache.key(other)
 
     def test_key_depends_on_code_version_salt(self, tmp_path, job):
-        a = ResultCache(tmp_path, salt="v1")
-        b = ResultCache(tmp_path, salt="v2")
+        a = DiskStore(tmp_path, salt="v1")
+        b = DiskStore(tmp_path, salt="v2")
         assert a.key(job) != b.key(job)
 
-    def test_default_salt_carries_version(self):
-        from repro import __version__
-        assert __version__ in code_version_salt()
+    def test_default_salt_is_stable_across_interpreters(self):
+        """Fresh interpreters (different hash seeds) on one tree agree;
+        importing the package alone never computes the digest."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = ("import repro\n"
+                "from repro.engine.store import code_version_salt\n"
+                "assert code_version_salt.cache_info().misses == 0\n"
+                "print(code_version_salt())")
+        salts = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True,
+                                 check=True, timeout=120)
+            salts.append(out.stdout.strip())
+        assert salts[0] == salts[1] == code_version_salt()
+        assert salts[0].startswith("repro-src-")
+
+    def test_source_digest_tracks_every_source_edit(self, tmp_path):
+        tree = tmp_path / "pkg"
+        (tree / "sub").mkdir(parents=True)
+        (tree / "__init__.py").write_text("X = 1\n")
+        (tree / "sub" / "mod.py").write_text(
+            "def f():\n    return 2  # one\n")
+        base = source_digest(tree)
+        assert source_digest(tree) == base
+
+        # Same length, same code: only the comment's bytes differ.
+        (tree / "sub" / "mod.py").write_text(
+            "def f():\n    return 2  # two\n")
+        commented = source_digest(tree)
+        assert commented != base
+
+        (tree / "sub" / "new.py").write_text("")
+        assert source_digest(tree) not in (base, commented)
 
 
 class TestStoreAndLookup:
@@ -94,8 +131,8 @@ class TestStoreAndLookup:
         assert cache.path_for(key).exists()
 
     def test_salt_mismatch_is_a_miss(self, tmp_path, job):
-        ResultCache(tmp_path, salt="v1").put(job, {"h_opt": 1.0})
-        assert ResultCache(tmp_path, salt="v2").get(job) is None
+        DiskStore(tmp_path, salt="v1").put(job, {"h_opt": 1.0})
+        assert DiskStore(tmp_path, salt="v2").get(job) is None
 
 
 class TestConcurrentWriters:
@@ -148,7 +185,7 @@ class TestMaintenance:
         assert cache.stats().entries == 0
 
     def test_stats_on_missing_directory(self, tmp_path):
-        cache = ResultCache(tmp_path / "never-created")
+        cache = DiskStore(tmp_path / "never-created")
         assert cache.stats().entries == 0
         assert cache.clear() == 0
 

@@ -17,10 +17,9 @@ from typing import Any, ClassVar, Dict
 import pytest
 
 from repro import NODE_100NM, units
-from repro.engine.cache import ResultCache
 from repro.engine.executor import BatchExecutor
 from repro.engine.jobs import DelayJob, canonical_json
-from repro.engine.store import SingleFlight, flight_key
+from repro.engine.store import DiskStore, SingleFlight, flight_key
 
 NH = units.NH_PER_MM
 
@@ -114,7 +113,7 @@ class TestWithinBatchDedup:
 
     def test_deduped_lanes_do_not_rewrite_the_cache(self, tmp_path):
         """One put per unique spec: the leader writes, followers skip."""
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         job = delay_job()
         report = BatchExecutor(jobs=1, cache=cache).run([job] * 4)
         assert all(outcome.ok for outcome in report.outcomes)

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import NODE_100NM, OptimizerMethod, units
-from repro.engine import BatchExecutor, ResultCache
+from repro.engine import BatchExecutor
+from repro.engine.store import DiskStore
 from repro.engine.jobs import DelayJob, OptimizeJob
 
 NH = units.NH_PER_MM
@@ -85,7 +86,7 @@ class TestParallelDeterminism:
 
 class TestCaching:
     def test_second_run_served_from_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         jobs = optimize_jobs([0.0, 0.5, 1.0])
         executor = BatchExecutor(jobs=1, cache=cache)
         first = executor.run(jobs)
@@ -97,7 +98,7 @@ class TestCaching:
         assert first.to_payload() == second.to_payload()
 
     def test_failures_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         executor = BatchExecutor(jobs=1, cache=cache)
         executor.run([poisoned_job()])
         assert cache.stats().entries == 0
@@ -106,17 +107,17 @@ class TestCaching:
         assert second.metrics.cache_hits == 0
 
     def test_cache_shared_across_worker_counts(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         jobs = optimize_jobs([0.0, 0.5, 1.0, 1.5])
         BatchExecutor(jobs=2, cache=cache).run(jobs)
-        replay = BatchExecutor(jobs=1, cache=ResultCache(tmp_path)).run(jobs)
+        replay = BatchExecutor(jobs=1, cache=DiskStore(tmp_path)).run(jobs)
         assert replay.metrics.cache_hits == len(jobs)
 
     def test_delay_jobs_cache_too(self, tmp_path):
         line = NODE_100NM.line_with_inductance(1.0 * NH)
         job = DelayJob(line=line, driver=NODE_100NM.driver,
                        h=0.01, k=150.0)
-        executor = BatchExecutor(cache=ResultCache(tmp_path))
+        executor = BatchExecutor(cache=DiskStore(tmp_path))
         first = executor.run_one(job)
         second = executor.run_one(job)
         assert second.from_cache
@@ -130,7 +131,7 @@ class TestWallTimeIsMetricsOnly:
         equality cannot depend on how fast a run happened to be."""
         import json
 
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         job = optimize_jobs([1.0])[0]
         executor = BatchExecutor(jobs=1, cache=cache)
         fresh = executor.run([job])

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.optimize import OptimizerMethod
-from repro.engine import (JOB_TYPES, DelayJob, OptimizeJob, ResultCache,
-                          SweepJob, TransientJob, job_from_dict, job_to_dict,
+from repro.engine import (JOB_TYPES, DelayJob, OptimizeJob, SweepJob,
+                          TransientJob, job_from_dict, job_to_dict,
                           register_job_type)
 from repro.engine.jobs import ExperimentJob
+from repro.engine.store import DiskStore
 from repro.verify import VerifyJob
 from tests.strategies import drivers, lines, segment_lengths, \
     repeater_sizes, thresholds, verify_cases
@@ -59,13 +60,13 @@ class TestSpecRoundTrip:
     @given(job=any_job)
     @settings(max_examples=100, deadline=None)
     def test_round_trip_preserves_cache_key(self, job, tmp_path_factory):
-        cache = ResultCache(tmp_path_factory.mktemp("cache"))
+        cache = DiskStore(tmp_path_factory.mktemp("cache"))
         assert cache.key(job_from_dict(job_to_dict(job))) == cache.key(job)
 
     @given(job=delay_jobs)
     @settings(max_examples=50, deadline=None)
     def test_distinct_specs_get_distinct_keys(self, job, tmp_path_factory):
-        cache = ResultCache(tmp_path_factory.mktemp("cache"))
+        cache = DiskStore(tmp_path_factory.mktemp("cache"))
         tweaked = DelayJob(line=job.line, driver=job.driver, h=job.h,
                            k=job.k, f=job.f,
                            polish_with_newton=not job.polish_with_newton)

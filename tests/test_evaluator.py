@@ -284,8 +284,8 @@ class TestEngineJobs:
         assert len(trace["steps"]) == result["iterations"] + 1
         assert not any(e["kind"] == "fallback" for e in trace["events"])
         # payload survives the cache's JSON round-trip
-        from repro.engine import ResultCache
-        cache = ResultCache(tmp_path)
+        from repro.engine.store import DiskStore
+        cache = DiskStore(tmp_path)
         cache.put(job, result)
         assert cache.get(job)["trace"] == \
             OptimizationTrace.from_payload(trace).to_payload()

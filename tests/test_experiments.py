@@ -23,10 +23,12 @@ class TestFramework:
     def test_result_formatting(self):
         result = ExperimentResult(experiment_id="x", title="T",
                                   headers=["a", "bb"],
-                                  rows=[[1.0, "y"], [2.5, "zz"]],
+                                  rows=[[1.0, "y"], [2.5, "zz"],
+                                        [3.0, None]],
                                   notes=["hello"])
         table = result.format_table()
         assert "a" in table and "bb" in table and "zz" in table
+        assert table.splitlines()[-1].split() == ["3", "—"]
         report = result.format_report()
         assert "== x: T ==" in report
         assert "note: hello" in report
@@ -56,6 +58,60 @@ class TestFramework:
             signature = inspect.signature(REGISTRY[experiment_id])
             for key in overrides:
                 assert key in signature.parameters, (experiment_id, key)
+
+
+class TestThroughEngine:
+    """Every experiment as an ``ExperimentJob`` — the CLI's only path.
+
+    Overrides keep each run small; the ring experiments' short period
+    budget leaves fig11 with no measurable period, so its undefined
+    cells take the engine's non-finite screen too.
+    """
+
+    TINY = {"segments": 2, "period_budget": 3.0, "steps_per_period": 100}
+    OVERRIDES = {
+        "table1": {"simulate": False},
+        "fig2": {"samples": 50},
+        "fig4": {"points": 3},
+        "fig5": {"points": 3},
+        "fig6": {"points": 3},
+        "fig7": {"points": 3, "include_control": False},
+        "fig8": {"points": 3},
+        # fig9_10 tabulates a measured period: it needs enough cycles.
+        "fig9_10": {"l_values": (1.8,), "segments": 2,
+                    "period_budget": 10.0, "steps_per_period": 200},
+        "fig11": {**TINY, "l_values": (1.0, 3.0)},
+        "fig12": {**TINY, "l_values": (0.5,)},
+        "ext_bus": {"inductive_couplings": (0.0, 0.3), "segments": 2},
+        "ext_robust": {"grid_points": 2},
+        "ext_crosstalk": {"segments": 2, "l_values": (0.0, 1.0)},
+        "ext_miller": {"miller_factors": (0.0, 1.0)},
+        "ext_skin": {"frequencies": (1e9, 1e10)},
+        "ext_power": {"budget_fractions": (1.0, 0.8)},
+        "ext_sensitivity": {},
+    }
+
+    def test_every_experiment_succeeds_through_the_engine(self):
+        from repro.engine.executor import BatchExecutor
+        from repro.engine.jobs import ExperimentJob
+
+        ids = all_experiment_ids()
+        assert set(self.OVERRIDES) == set(ids)
+        jobs = [ExperimentJob.create(i, **self.OVERRIDES[i]) for i in ids]
+        with BatchExecutor(jobs=1) as executor:
+            batch = executor.run(jobs)
+        failed = {i: outcome.error for i, outcome in zip(ids, batch)
+                  if not outcome.ok}
+        assert failed == {}
+        by_id = dict(zip(ids, batch))
+        assert by_id["fig6"].result["rows"][0][2] is None   # l = 0
+        assert by_id["fig11"].result["data"]["periods"] == [None, None]
+
+    def test_fig11_onset_treats_none_as_not_oscillating(self):
+        from repro.experiments.fig11 import _collapse_onset
+
+        assert _collapse_onset([1.0, 2.0, 3.0], [1e-10, None, 4e-11]) == 2.0
+        assert _collapse_onset([1.0, 2.0], [None, 1e-10]) is None
 
 
 class TestTable1:

@@ -14,9 +14,9 @@ from typing import Any, ClassVar, Dict
 import pytest
 
 from repro import NODE_100NM, OptimizerMethod, units
-from repro.engine.cache import ResultCache
-from repro.engine.executor import BatchExecutor, _nonfinite_path
-from repro.engine.jobs import DelayJob, OptimizeJob
+from repro.engine.executor import BatchExecutor
+from repro.engine.jobs import DelayJob, OptimizeJob, nonfinite_path
+from repro.engine.store import DiskStore
 from repro.errors import OptimizationError
 from repro.faults import FaultPlan, FaultRule, hooks
 
@@ -126,15 +126,16 @@ class TestRetryExhaustion:
 
 class TestNonFiniteScreen:
     def test_nonfinite_path_finds_nested_nan(self):
-        assert _nonfinite_path({"a": {"b": [1.0, float("nan")]}}) \
-            == "result.a.b[1]"
-        assert _nonfinite_path({"a": float("inf")}) == "result.a"
-        assert _nonfinite_path({"a": 1.0, "b": None}) is None
+        assert nonfinite_path({"a": {"b": [1.0, float("nan")]}},
+                              "result") == "result.a.b[1]"
+        assert nonfinite_path({"a": float("inf")}, "result") == "result.a"
+        assert nonfinite_path({"a": 1.0, "b": None}, "result") is None
 
     def test_trace_subtree_is_exempt(self):
         payload = {"h_opt": 1.0,
                    "trace": {"residuals": [float("inf"), 1e-3]}}
-        assert _nonfinite_path(payload) is None
+        assert nonfinite_path(payload, "result", skip="trace") is None
+        assert nonfinite_path(payload) == "trace.residuals[0]"
 
     def test_nan_result_is_a_failure_not_a_cached_success(self, tmp_path):
         """A solver escape (injected NaN lane) must never be cached."""
@@ -142,7 +143,7 @@ class TestNonFiniteScreen:
         plan = FaultPlan(rules=[
             FaultRule(site="kernels.threshold_delay.nan_lane",
                       mode="nth", n=1)])
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         with hooks.active(plan):
             outcome = BatchExecutor(jobs=1, cache=cache).run_one(job)
         assert not outcome.ok
@@ -154,7 +155,7 @@ class TestNonFiniteScreen:
         job = _delay_jobs(2)[1]
         plan = FaultPlan(rules=[FaultRule(site="cache.put.os_error",
                                           mode="nth", n=1)])
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         with hooks.active(plan):
             outcome = BatchExecutor(jobs=1, cache=cache).run_one(job)
         assert outcome.ok

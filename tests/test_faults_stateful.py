@@ -32,8 +32,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
-from repro.engine.cache import ResultCache
 from repro.engine.jobs import canonical_json, job_to_dict
+from repro.engine.store import DiskStore
 from repro.faults import FaultPlan, FaultRule, hooks
 from repro.faults.harness import (EXECUTION_COUNTERS, OPTIMIZE_FAULT_SITES,
                                   _workload_jobs)
@@ -84,7 +84,7 @@ class FaultedServerMachine(RuleBasedStateMachine):
         super().__init__()
         self.workload, self.truths = _workload_and_truths()
         self.tmpdir = tempfile.mkdtemp(prefix="repro-faults-state-")
-        self.cache = ResultCache(self.tmpdir)
+        self.cache = DiskStore(self.tmpdir)
         self.service = ReproService(cache=self.cache, max_batch_size=8,
                                     max_linger=0.02, default_timeout=10.0)
         self.plan = None

@@ -21,7 +21,8 @@ from repro.core.kernels import (DAMPING_BY_CODE, ResponseBatch, StageBatch,
                                 poles_v, response_v, threshold_delay_v)
 from repro.core.response import StepResponse
 from repro.engine import (BatchDelayJob, BatchExecutor, DelayJob,
-                          ResultCache, job_from_dict, job_to_dict)
+                          job_from_dict, job_to_dict)
+from repro.engine.store import DiskStore
 from repro.errors import DelaySolverError
 from repro.verify import unit_tolerance
 
@@ -233,7 +234,7 @@ class TestBatchDelayJob:
             assert result["newton_iterations"][i] == 0, i
 
     def test_cached_as_one_unit(self, node, rc_opt, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+        cache = DiskStore(tmp_path / "cache")
         executor = BatchExecutor(cache=cache)
         job = BatchDelayJob.from_inductance_sweep(
             node.line, node.driver, [0.0, 2e-7],

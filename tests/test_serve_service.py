@@ -12,9 +12,9 @@ import asyncio
 import pytest
 
 from repro import NODE_100NM, OptimizerMethod, units
-from repro.engine.cache import ResultCache
 from repro.engine.jobs import (CriticalInductanceJob, DelayJob, OptimizeJob,
                                canonical_json, job_to_dict)
+from repro.engine.store import DiskStore
 from repro.serve.protocol import (BadRequestError, EvaluationFailedError,
                                   ServeRequest, ServiceClosedError)
 from repro.serve.service import EXACT_AT_ANY_BATCH_SIZE, ReproService
@@ -131,11 +131,11 @@ class TestFaultIsolation:
 class TestCachePaths:
     def test_miss_then_hit(self, tmp_path):
         job = delay_jobs([1.0])[0]
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         first_service = ReproService(cache=cache, max_linger=0.0)
         (first,) = submit_burst(first_service, [job])
         assert first["cache"] == "miss"
-        second_service = ReproService(cache=ResultCache(tmp_path),
+        second_service = ReproService(cache=DiskStore(tmp_path),
                                       max_linger=0.0)
         (second,) = submit_burst(second_service, [job])
         assert second["cache"] == "hit"
@@ -145,7 +145,7 @@ class TestCachePaths:
 
     def test_no_cache_bypasses_both_ways(self, tmp_path):
         job = delay_jobs([1.0])[0]
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         service = ReproService(cache=cache, max_linger=0.0)
         (response,) = submit_burst(service, [job], no_cache=True)
         assert response["cache"] == "bypass"
@@ -158,19 +158,19 @@ class TestCachePaths:
 
     def test_batched_results_are_cached_for_exact_kinds(self, tmp_path):
         jobs = delay_jobs([0.0, 0.5, 1.0])
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         responses = submit_burst(
             ReproService(cache=cache, max_linger=0.2), jobs)
         assert all(r["batch_size"] == len(jobs) for r in responses)
         assert cache.stats().entries == len(jobs)
         # The cached record replays bitwise what the engine would store.
         for job, response in zip(jobs, responses):
-            assert ResultCache(tmp_path).get(job) == job.run()
+            assert DiskStore(tmp_path).get(job) == job.run()
 
     def test_batched_optimize_results_are_not_cached(self, tmp_path):
         assert "optimize" not in EXACT_AT_ANY_BATCH_SIZE
         jobs = optimize_jobs([0.0, 1.0])
-        cache = ResultCache(tmp_path)
+        cache = DiskStore(tmp_path)
         responses = submit_burst(
             ReproService(cache=cache, max_linger=0.2), jobs)
         assert all(r["ok"] and r["batch_size"] == 2 for r in responses)
@@ -179,7 +179,7 @@ class TestCachePaths:
         (solo,) = submit_burst(
             ReproService(cache=cache, max_linger=0.0), jobs[:1])
         assert solo["batch_size"] == 1
-        assert ResultCache(tmp_path).get(jobs[0]) == jobs[0].run()
+        assert DiskStore(tmp_path).get(jobs[0]) == jobs[0].run()
 
 
 class TestLifecycleAndProtocol:

@@ -1,11 +1,9 @@
 """Unit tests for the result-store plane: tiers, factory, single-flight.
 
 The disk store's persistence contract is pinned by
-``test_engine_cache.py`` (which exercises it through the compat name
-``ResultCache``); this suite covers what the store *plane* adds — the
-legacy flat-layout migration, the byte-budgeted memory tier, the tiered
-composition, the ``make_store`` factory, and the ``SingleFlight``
-coalescing protocol.
+``test_engine_cache.py``; this suite covers what the store *plane* adds
+— the byte-budgeted memory tier, the tiered composition, the
+``make_store`` factory, and the ``SingleFlight`` coalescing protocol.
 """
 
 import json
@@ -44,37 +42,6 @@ class TestFlightKey:
         b = DiskStore(tmp_path, salt="v2")
         assert a.key(job) != b.key(job)
         assert flight_key(job) == flight_key(job)
-
-
-class TestLegacyMigration:
-    def test_flat_record_reads_through(self, tmp_path, job):
-        store = DiskStore(tmp_path)
-        key = store.key(job)
-        legacy = tmp_path / f"{key}.json"
-        legacy.write_text(json.dumps(
-            {"key": key, "salt": store.salt, "job": {}, "result": {"x": 1}}))
-        assert store.get(job) == {"x": 1}
-
-    def test_hit_migrates_into_shard(self, tmp_path, job):
-        store = DiskStore(tmp_path)
-        key = store.key(job)
-        legacy = tmp_path / f"{key}.json"
-        legacy.write_text(json.dumps(
-            {"key": key, "salt": store.salt, "job": {}, "result": {"x": 1}}))
-        store.get(job)
-        assert not legacy.exists()
-        assert store.path_for(key).exists()
-        # Replays from the shard afterwards, bit-for-bit.
-        assert store.get(job) == {"x": 1}
-
-    def test_legacy_records_counted_and_cleared(self, tmp_path, job):
-        store = DiskStore(tmp_path)
-        key = store.key(job)
-        (tmp_path / f"{key}.json").write_text(json.dumps(
-            {"key": key, "salt": store.salt, "job": {}, "result": {}}))
-        assert store.stats().entries == 1
-        assert store.clear() == 1
-        assert store.stats().entries == 0
 
 
 class TestMemoryStore:

@@ -1,14 +1,12 @@
 """Property-based tests for the result-store plane.
 
-Four properties pin the store contracts under arbitrary operation
+Three properties pin the store contracts under arbitrary operation
 sequences — the memory tier never exceeds its byte budget, a tiered
-store's reads are bitwise identical to a plain disk store's, promotion
-on hit is idempotent, and legacy flat-layout records stay readable
-through migration — plus a 16-thread stress test proving single-flight
-performs exactly one evaluation per unique in-flight spec.
+store's reads are bitwise identical to a plain disk store's, and
+promotion on hit is idempotent — plus a 16-thread stress test proving
+single-flight performs exactly one evaluation per unique in-flight spec.
 """
 
-import json
 import tempfile
 import threading
 from collections import Counter
@@ -107,24 +105,6 @@ def test_promote_on_hit_is_idempotent(payload):
         again = store.memory.stats()
         assert (again.entries, again.total_bytes) \
             == (promoted.entries, promoted.total_bytes)
-
-
-@settings(deadline=None, max_examples=30)
-@given(payload=_payloads)
-def test_legacy_flat_records_readable_through_migration(payload):
-    with tempfile.TemporaryDirectory() as tmp:
-        store = DiskStore(tmp)
-        key = store.key(_JOBS[0])
-        legacy = Path(tmp) / f"{key}.json"
-        legacy.write_text(json.dumps(
-            {"key": key, "salt": store.salt, "job": {},
-             "result": payload}))
-        first = store.get(_JOBS[0])
-        assert canonical_json(first) == canonical_json(payload)
-        assert not legacy.exists()            # migrated into its shard
-        assert store.path_for(key).exists()
-        second = store.get(_JOBS[0])          # now served by the shard
-        assert canonical_json(second) == canonical_json(payload)
 
 
 def test_sixteen_thread_single_flight_one_evaluation_per_spec():
