@@ -35,23 +35,12 @@ WORKERS = 4
 #: suite.  Only asserted on hosts with enough cores to host the workers.
 MIN_RATIO = 1.5
 
-#: Batching-shape counters: how many kernel batches/lanes an evaluation
-#: used depends on dispatch interleaving, not on the answer.
-EXECUTION_COUNTERS = ("lanes_evaluated", "batch_calls", "memo_hits")
-
-
 def _smoke() -> bool:
     return os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 
 def _out_path() -> str:
     return os.environ.get("REPRO_BENCH_OUT", "BENCH_backends.json")
-
-
-def _normalized(body):
-    result = {k: v for k, v in body["result"].items()
-              if k not in EXECUTION_COUNTERS}
-    return canonical_json(result)
 
 
 def test_process_backend_beats_threads_on_optimize_stream():
@@ -70,7 +59,8 @@ def test_process_backend_beats_threads_on_optimize_stream():
 
     # Answer preservation, lane for lane across the two backends.
     for thread_body, process_body in zip(thread, process):
-        assert _normalized(thread_body) == _normalized(process_body)
+        assert canonical_json(thread_body["result"]) \
+            == canonical_json(process_body["result"])
 
     # Both arms actually exercised their pools.
     for arm in ("thread", "process"):

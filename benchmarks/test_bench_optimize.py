@@ -12,12 +12,14 @@ identical work, in three sections:
   lanes' probe and backtracking evaluations into single kernel batches
   per Newton iteration, vs the same 11 optimizations run sequentially
   through the scalar loop.  The asserted speedup floor applies here.
-* ``single`` — one solo :func:`~repro.core.optimize.optimize_repeater`
-  call.  Informational: a solo run only batches 3 lanes per iteration,
-  which does not amortize the kernel pipeline's fixed cost (see
-  DESIGN.md S27), so this ratio is expected to be near or below 1.
-* ``sweep`` — the warm-started solo sweep (each point seeded from the
-  previous optimum), also informational for the same reason.
+* ``single`` — one :func:`~repro.core.optimize.optimize_repeater`
+  call, the lockstep driver's N = 1 batch.  Informational: one lane
+  only batches 3 points per iteration, which does not amortize the
+  kernel pipeline's fixed cost (see DESIGN.md S27), so this ratio is
+  expected to be near or below 1.
+* ``sweep`` — the warm-started sweep (each point seeded from the
+  previous optimum, one N = 1 call per point), also informational for
+  the same reason.
 
 Every section first checks the two implementations converge to
 bitwise-identical (h_opt, k_opt, tau), so the ratios are pure

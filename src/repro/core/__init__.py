@@ -32,7 +32,7 @@ from .elmore import (RCOptimum, driver_from_rc_optimum, elmore_stage_delay,
                      elmore_total_delay, rc_optimum)
 from .evaluate import (OptimizationTrace, ScalarSemantics, StageEvaluator,
                        TraceEvent, TraceStep, delay_per_length_grid,
-                       prime_evaluators, stationarity_residuals_v)
+                       stationarity_residuals_v)
 from .line_theory import (LineRegime, attenuation, characteristic_impedance,
                           classify_regime, critical_length_window,
                           lc_transition_frequency, phase_velocity,
@@ -63,8 +63,7 @@ __all__ = [
     "RCOptimum", "driver_from_rc_optimum", "elmore_stage_delay",
     "elmore_total_delay", "rc_optimum",
     "OptimizationTrace", "ScalarSemantics", "StageEvaluator", "TraceEvent",
-    "TraceStep", "delay_per_length_grid", "prime_evaluators",
-    "stationarity_residuals_v",
+    "TraceStep", "delay_per_length_grid", "stationarity_residuals_v",
     "Moments", "compute_moments", "moments_from_lumped",
     "OptimizerMethod", "RepeaterOptimum", "optimize_repeater",
     "stage_delay_per_length", "stationarity_residuals",

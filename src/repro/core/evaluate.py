@@ -51,7 +51,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import DelaySolverError, ParameterError
 from . import moments as _moments_mod
 from .kernels import (DAMPING_BY_CODE, ResponseBatch, classify_damping_v,
                       threshold_delay_v)
@@ -494,7 +494,7 @@ class StageEvaluator:
 
     def prime(self, key: Tuple[float, float, bool, bool],
               value: Tuple[float, float, float, int]) -> None:
-        """Insert an externally computed lane (see :func:`prime_evaluators`)."""
+        """Insert an externally computed lane (see :func:`prime_pairs`)."""
         self._memo.setdefault(key, value)
 
     def __len__(self) -> int:
@@ -533,14 +533,14 @@ def prime_pairs(requests: Sequence[Tuple[StageEvaluator,
     trials become one pipeline walk per iteration instead of N.
 
     A group whose batch fails (bad trial parameters, delay-solver
-    failure) is skipped silently: its points simply evaluate — and raise
-    — inside their own lanes, preserving per-lane fault isolation and
-    per-lane exception types.
+    failure) is re-run as one batch per evaluator, and an evaluator
+    whose own batch fails is skipped: its points then evaluate — and
+    raise — inside their own lane.  Each evaluator thus primes exactly
+    what it would prime alone, so its counters and per-lane exception
+    types never depend on the other evaluators in the call.
 
     Returns the number of lanes actually primed.
     """
-    from ..errors import DelaySolverError
-
     groups: Dict[Tuple[ScalarSemantics, float],
                  List[Tuple[StageEvaluator,
                             Tuple[float, float, bool, bool]]]] = {}
@@ -561,44 +561,45 @@ def prime_pairs(requests: Sequence[Tuple[StageEvaluator,
     primed = 0
     for (sem, f), lanes in groups.items():
         try:
-            g1, g2, tau, codes = stationarity_residuals_v(
-                [float(ev.line.r) for ev, _ in lanes],
-                [float(ev.line.l) for ev, _ in lanes],
-                [float(ev.line.c) for ev, _ in lanes],
-                [float(ev.driver.r_s) for ev, _ in lanes],
-                [float(ev.driver.c_p) for ev, _ in lanes],
-                [float(ev.driver.c_0) for ev, _ in lanes],
-                [key[0] for _, key in lanes], [key[1] for _, key in lanes],
-                f, semantics=sem)
+            primed += _prime_batch(lanes, sem, f)
         except (ParameterError, DelaySolverError):
-            continue
-        touched: Dict[int, StageEvaluator] = {}
-        for j, (evaluator, key) in enumerate(lanes):
-            evaluator.prime(key, (float(g1[j]), float(g2[j]),
-                                  float(tau[j]), int(codes[j])))
-            evaluator.lanes_evaluated += 1
-            touched[id(evaluator)] = evaluator
-            primed += 1
-        for evaluator in touched.values():
-            evaluator.batch_calls += 1
+            owners: Dict[int, list] = {}
+            for evaluator, key in lanes:
+                owners.setdefault(id(evaluator), []).append(
+                    (evaluator, key))
+            if len(owners) == 1:
+                continue    # the failed batch was this evaluator's own
+            for own in owners.values():
+                try:
+                    primed += _prime_batch(own, sem, f)
+                except (ParameterError, DelaySolverError):
+                    continue
     return primed
 
 
-def prime_evaluators(evaluators: Sequence[StageEvaluator],
-                     seeds: Sequence[Tuple[Any, Any]]) -> int:
-    """Warm N evaluators' memos with their seed points in one kernel batch.
-
-    Used by the engine's ``BatchOptimizeJob``: the N seed evaluations that
-    would otherwise each start a per-lane optimization cold are grouped by
-    (semantics, f) and evaluated as single multi-configuration batches —
-    lane results are bitwise identical to solo evaluation, so the
-    subsequent optimizations replay the exact scalar convergence paths.
-
-    Returns the number of lanes actually primed (see :func:`prime_pairs`
-    for grouping and fault-isolation semantics).
-    """
-    return prime_pairs([(evaluator, [seed])
-                        for evaluator, seed in zip(evaluators, seeds)])
+def _prime_batch(lanes: List[Tuple[StageEvaluator,
+                                   Tuple[float, float, bool, bool]]],
+                 semantics: ScalarSemantics, f: float) -> int:
+    """Evaluate one (semantics, f) group as one kernel batch and memoize
+    each lane in its evaluator; raises if any lane fails."""
+    g1, g2, tau, codes = stationarity_residuals_v(
+        [float(ev.line.r) for ev, _ in lanes],
+        [float(ev.line.l) for ev, _ in lanes],
+        [float(ev.line.c) for ev, _ in lanes],
+        [float(ev.driver.r_s) for ev, _ in lanes],
+        [float(ev.driver.c_p) for ev, _ in lanes],
+        [float(ev.driver.c_0) for ev, _ in lanes],
+        [key[0] for _, key in lanes], [key[1] for _, key in lanes],
+        f, semantics=semantics)
+    touched: Dict[int, StageEvaluator] = {}
+    for j, (evaluator, key) in enumerate(lanes):
+        evaluator.prime(key, (float(g1[j]), float(g2[j]), float(tau[j]),
+                              int(codes[j])))
+        evaluator.lanes_evaluated += 1
+        touched[id(evaluator)] = evaluator
+    for evaluator in touched.values():
+        evaluator.batch_calls += 1
+    return len(lanes)
 
 
 def damping_name(code: int) -> str:

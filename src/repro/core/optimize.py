@@ -20,16 +20,19 @@ independent validator: the pole-derivative terms contain 1/sqrt(b1^2-4b2),
 which blows up where the optimum rides close to critical damping — there
 the direct method takes over automatically.
 
-Since the kernel-layer refactor every residual evaluation is served by a
-shared :class:`repro.core.evaluate.StageEvaluator`: one Newton iteration's
-base point and both finite-difference probes run as a single 3-lane
-kernel batch, backtracking trials are memoized, and the direct fallback's
-simplex reuses the same cache.  The convergence path — and therefore the
-returned (h_opt, k_opt, tau) — is bitwise identical to the scalar
-implementation, which is preserved below as
-:func:`stationarity_residuals` (the reference oracle the equivalence
-tests and benchmarks compare against).  Every run also records an
-:class:`~repro.core.evaluate.OptimizationTrace` on the returned optimum.
+There is one Newton driver, :func:`optimize_repeater_many`, which
+advances N optimizations in lockstep; :func:`optimize_repeater` is its
+N = 1 call.  Every residual evaluation is served by a per-lane
+:class:`repro.core.evaluate.StageEvaluator`: each iteration's base
+points and finite-difference probes, and each backtracking wave's
+trials, pool across lanes into single kernel batches, evaluations are
+memoized, and the direct fallback's simplex reuses the same cache.  The
+convergence path — and therefore the returned (h_opt, k_opt, tau) — is
+bitwise identical to the scalar implementation, which is preserved
+below as :func:`stationarity_residuals` (the reference oracle the
+equivalence tests and benchmarks compare against).  Every run also
+records an :class:`~repro.core.evaluate.OptimizationTrace` on the
+returned optimum.
 """
 
 from __future__ import annotations
@@ -167,112 +170,10 @@ def _fail(message: str, *, iteration: int, norm: float,
     return error
 
 
-def _newton_optimize(line: LineParams, driver: DriverParams, f: float,
+def _direct_optimize(evaluator: StageEvaluator, trace: OptimizationTrace,
                      h0: float, k0: float, *, tol: float,
-                     max_iterations: int,
-                     evaluator: Optional[StageEvaluator] = None,
-                     trace: Optional[OptimizationTrace] = None
-                     ) -> RepeaterOptimum:
-    """Damped 2-D Newton on (g1, g2) with a finite-difference Jacobian.
-
-    Each iteration evaluates the base point and both probes as one
-    3-lane kernel batch (the base is a memo hit after iteration 1);
-    backtracking trials are memoized too, so a re-probed (h, k) is never
-    recomputed.  The iterate sequence is bitwise identical to the scalar
-    implementation's.
-    """
-    evaluator = evaluator or StageEvaluator(line, driver, f)
-    trace = trace if trace is not None else OptimizationTrace()
-    h, k = h0, k0
-    g1, g2, tau, damping_code = evaluator.evaluate(h, k)
-    norm = math.hypot(g1, g2)
-    trace.record_step(TraceStep(
-        iteration=trace.next_iteration, h=float(h), k=float(k),
-        g1=g1, g2=g2, tau=tau, residual_norm=norm,
-        damping=damping_name(damping_code), step_scale=None,
-        backtracks=0, accepted_worse=False))
-
-    for iteration in range(1, max_iterations + 1):
-        # Finite-difference Jacobian of the scaled residual vector — the
-        # base point and both probes as one 3-lane batch (base: memo hit).
-        eps_h = 1e-6 * h
-        eps_k = 1e-6 * k
-        _, probe_h, probe_k = evaluator.evaluate_many(
-            [(h, k), (h + eps_h, k), (h, k + eps_k)])
-        g1_h, g2_h = probe_h[0], probe_h[1]
-        g1_k, g2_k = probe_k[0], probe_k[1]
-        jac = np.array([[(g1_h - g1) / eps_h, (g1_k - g1) / eps_k],
-                        [(g2_h - g2) / eps_h, (g2_k - g2) / eps_k]])
-        rhs = np.array([g1, g2])
-        try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise _fail(f"singular Jacobian at iteration {iteration}",
-                        iteration=iteration, norm=norm, trace=trace) from exc
-        if not np.all(np.isfinite(step)):
-            raise _fail(f"non-finite Newton step at iteration {iteration}",
-                        iteration=iteration, norm=norm, trace=trace)
-
-        # Damped update with positivity backtracking.
-        scale = 1.0
-        backtracks = 0
-        for _ in range(40):
-            h_new = h - scale * step[0]
-            k_new = k - scale * step[1]
-            if h_new > 0.0 and k_new > 0.0:
-                try:
-                    g1_new, g2_new, tau_new, damping_code = \
-                        evaluator.evaluate(h_new, k_new)
-                except (DelaySolverError, ParameterError):
-                    scale *= 0.5
-                    backtracks += 1
-                    continue
-                norm_new = math.hypot(g1_new, g2_new)
-                if norm_new < norm or scale < 1e-3:
-                    break
-            scale *= 0.5
-            backtracks += 1
-        else:
-            raise _fail(f"Newton backtracking failed at iteration "
-                        f"{iteration}", iteration=iteration, norm=norm,
-                        trace=trace)
-
-        accepted_worse = not norm_new < norm
-        if accepted_worse:
-            trace.record_event(
-                "accepted_worse",
-                f"iteration {iteration}: accepted residual {norm_new:.6g} "
-                f">= {norm:.6g} at step scale {scale:.3g}")
-        moved = max(abs(h_new - h) / h, abs(k_new - k) / k)
-        h, k, g1, g2, tau, norm = h_new, k_new, g1_new, g2_new, tau_new, \
-            norm_new
-        trace.record_step(TraceStep(
-            iteration=trace.next_iteration, h=float(h), k=float(k),
-            g1=g1, g2=g2, tau=tau, residual_norm=norm,
-            damping=damping_name(damping_code), step_scale=scale,
-            backtracks=backtracks, accepted_worse=accepted_worse))
-        if moved < tol:
-            trace.attach_counters(evaluator)
-            return RepeaterOptimum(h_opt=h, k_opt=k, tau=tau,
-                                   delay_per_length=tau / h,
-                                   damping=DAMPING_BY_CODE[damping_code],
-                                   method=OptimizerMethod.NEWTON,
-                                   iterations=iteration, trace=trace)
-
-    raise _fail(f"Newton optimizer did not converge in {max_iterations} "
-                f"iterations", iteration=max_iterations, norm=norm,
-                trace=trace)
-
-
-def _direct_optimize(line: LineParams, driver: DriverParams, f: float,
-                     h0: float, k0: float, *, tol: float,
-                     max_iterations: int,
-                     evaluator: Optional[StageEvaluator] = None,
-                     trace: Optional[OptimizationTrace] = None
-                     ) -> RepeaterOptimum:
+                     max_iterations: int) -> RepeaterOptimum:
     """Nelder-Mead on log(h), log(k) — derivative-free and damping-agnostic."""
-    evaluator = evaluator or StageEvaluator(line, driver, f)
-    trace = trace if trace is not None else OptimizationTrace()
 
     def objective(x: np.ndarray) -> float:
         h = h0 * math.exp(x[0])
@@ -319,10 +220,12 @@ def optimize_repeater(line: LineParams, driver: DriverParams,
                       method: OptimizerMethod = OptimizerMethod.AUTO,
                       initial: Optional[tuple[float, float]] = None,
                       tol: float = 1e-9,
-                      max_iterations: int = 200,
-                      evaluator: Optional[StageEvaluator] = None
-                      ) -> RepeaterOptimum:
+                      max_iterations: int = 200) -> RepeaterOptimum:
     """Find (h_optRLC, k_optRLC) minimizing the f*100% delay per unit length.
+
+    The N = 1 call of :func:`optimize_repeater_many`: one lane through
+    the same lockstep driver every batch uses, so a solo optimum, its
+    trace and its counters equal that lane's entry in any batch.
 
     Parameters
     ----------
@@ -333,17 +236,11 @@ def optimize_repeater(line: LineParams, driver: DriverParams,
     method:
         NEWTON runs only the paper's 2-D Newton solve; DIRECT runs only the
         Nelder-Mead fallback; AUTO (default) tries Newton first and falls
-        back when it stalls (typically near critical damping), then keeps
-        whichever candidate achieves the lower objective.
+        back when it stalls (typically near critical damping).
     initial:
         Optional (h, k) starting point.  Defaults to the closed-form RC
         optimum, which is exact at l = 0 and an excellent warm start
         elsewhere; inductance sweeps should pass the previous optimum.
-    evaluator:
-        Optional pre-warmed :class:`~repro.core.evaluate.StageEvaluator`
-        for this exact (line, driver, f) configuration — the engine's
-        ``BatchOptimizeJob`` passes one whose memo already holds the
-        batch-evaluated seed.  Leave ``None`` for standalone calls.
 
     Returns
     -------
@@ -354,45 +251,15 @@ def optimize_repeater(line: LineParams, driver: DriverParams,
     ------
     OptimizationError
         If the requested solver(s) fail to converge.
+    ParameterError
+        If ``f`` or ``initial`` is out of range.
     """
-    if not 0.0 < f < 1.0:
-        raise ParameterError(f"threshold fraction must be in (0, 1), got {f}")
-    if initial is None:
-        rc_opt = rc_optimum(line, driver)
-        h0, k0 = rc_opt.h_opt, rc_opt.k_opt
-    else:
-        h0, k0 = initial
-        if h0 <= 0.0 or k0 <= 0.0:
-            raise ParameterError("initial (h, k) must be positive")
-
-    if evaluator is None:
-        evaluator = StageEvaluator(line, driver, f)
-    trace = OptimizationTrace()
-
-    if method is OptimizerMethod.NEWTON:
-        return _newton_optimize(line, driver, f, h0, k0, tol=tol,
-                                max_iterations=max_iterations,
-                                evaluator=evaluator, trace=trace)
-    if method is OptimizerMethod.DIRECT:
-        return _direct_optimize(line, driver, f, h0, k0, tol=tol,
-                                max_iterations=max_iterations,
-                                evaluator=evaluator, trace=trace)
-
-    # AUTO: paper's Newton first, robust fallback second.  The fallback
-    # shares the evaluator (its simplex reuses Newton's memoized lanes)
-    # and the trace, which records exactly one fallback event.
-    newton_result: Optional[RepeaterOptimum] = None
-    try:
-        newton_result = _newton_optimize(line, driver, f, h0, k0, tol=tol,
-                                         max_iterations=max_iterations,
-                                         evaluator=evaluator, trace=trace)
-    except OptimizationError as exc:
-        trace.record_event("fallback", f"newton failed: {exc}")
-    if newton_result is not None:
-        return newton_result
-    return _direct_optimize(line, driver, f, h0, k0, tol=tol,
-                            max_iterations=max_iterations,
-                            evaluator=evaluator, trace=trace)
+    (outcome,) = optimize_repeater_many(
+        [line], driver, f, method=method, initials=[initial], tol=tol,
+        max_iterations=max_iterations)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 class _NewtonLane:
@@ -425,13 +292,12 @@ def _newton_optimize_lockstep(lanes: List[_NewtonLane],
     points — into single multi-configuration kernel batches via
     :func:`~repro.core.evaluate.prime_pairs`.  Because lane values are
     batch-size invariant and each lane's own evaluator replays its
-    memoized points, every lane walks *exactly* the iterate sequence of
-    a solo :func:`_newton_optimize` run: results, traces and failure
-    modes are bitwise identical; only the pooling changes.
+    memoized points, every lane walks *exactly* the iterate sequence it
+    walks alone: results, traces, counters and failure modes do not
+    depend on the other lanes; only the pooling changes.
 
-    Outcomes (a :class:`RepeaterOptimum` or the exception the solo run
-    would have raised) are written into ``outcomes`` at each lane's
-    ``index``.
+    Outcomes (a :class:`RepeaterOptimum` or the lane's exception) are
+    written into ``outcomes`` at each lane's ``index``.
     """
     # Seed evaluations: one pooled batch, then per-lane bookkeeping.
     prime_pairs([(lane.evaluator, [(lane.h, lane.k)]) for lane in lanes])
@@ -547,7 +413,7 @@ def _newton_optimize_lockstep(lanes: List[_NewtonLane],
                 f"Newton backtracking failed at iteration {iteration}",
                 iteration=iteration, norm=lane.norm, trace=lane.trace)
 
-        # Acceptance bookkeeping (identical to the solo loop).
+        # Acceptance bookkeeping.
         active = []
         for lane in accepted:
             h_new, k_new, g1n, g2n, taun, coden, norm_new = lane.accept
@@ -587,31 +453,30 @@ def optimize_repeater_many(lines: Sequence[LineParams],
                            initials: Optional[Sequence[
                                Optional[tuple]]] = None,
                            tol: float = 1e-9,
-                           max_iterations: int = 200,
-                           evaluators: Optional[Sequence[
-                               StageEvaluator]] = None
+                           max_iterations: int = 200
                            ) -> List[Union[RepeaterOptimum, Exception]]:
     """N independent repeater optimizations with a lockstep Newton phase.
 
-    The batch equivalent of calling :func:`optimize_repeater` once per
-    line: per-lane results — optima, traces, convergence paths,
-    exceptions — are bitwise identical to the solo calls, but all lanes'
-    Newton inner loops advance together so each iteration's probe and
-    backtracking evaluations pool into single multi-configuration kernel
-    batches (see :func:`_newton_optimize_lockstep`).  Lanes that need
-    the direct method (requested or AUTO fallback) finish individually
-    on their own evaluator/trace, exactly like the solo AUTO path.
+    The optimizer's one Newton driver (:func:`optimize_repeater` is its
+    N = 1 call): all lanes' Newton iterations advance together so each
+    iteration's probe and backtracking evaluations pool into single
+    multi-configuration kernel batches (see
+    :func:`_newton_optimize_lockstep`).  Each lane owns a fresh
+    :class:`~repro.core.evaluate.StageEvaluator` and trace, and lane
+    values are batch-size invariant, so a lane's optimum, trace,
+    counters and exception are the same at every batch size.  Lanes that
+    need the direct method (requested or AUTO fallback) finish
+    individually on their own evaluator/trace.
 
     Returns one entry per line: a :class:`RepeaterOptimum` on success,
-    or the exception the solo call would have raised (not raised here —
-    callers own per-lane fault handling).
+    or the lane's exception (not raised here — callers own per-lane
+    fault handling).
     """
     n = len(lines)
     if not 0.0 < f < 1.0:
         return [ParameterError(f"threshold fraction must be in (0, 1), "
                                f"got {f}") for _ in range(n)]
-    if evaluators is None:
-        evaluators = [StageEvaluator(line, driver, f) for line in lines]
+    evaluators = [StageEvaluator(line, driver, f) for line in lines]
     outcomes: List[Union[RepeaterOptimum, Exception, None]] = [None] * n
     traces = [OptimizationTrace() for _ in range(n)]
 
@@ -637,27 +502,21 @@ def optimize_repeater_many(lines: Sequence[LineParams],
     if lanes:
         _newton_optimize_lockstep(lanes, outcomes)
 
-    for i, line in enumerate(lines):
+    for i in range(n):
         if seeds[i] is None or isinstance(outcomes[i], RepeaterOptimum):
             continue
-        h0, k0 = seeds[i]
-        if method is OptimizerMethod.DIRECT:
-            try:
-                outcomes[i] = _direct_optimize(
-                    line, driver, f, h0, k0, tol=tol,
-                    max_iterations=max_iterations, evaluator=evaluators[i],
-                    trace=traces[i])
-            except Exception as exc:  # noqa: BLE001 — per-lane isolation
-                outcomes[i] = exc
-        elif method is OptimizerMethod.AUTO and \
+        if method is OptimizerMethod.AUTO and \
                 isinstance(outcomes[i], OptimizationError):
+            # The fallback shares the lane's evaluator (its simplex
+            # reuses Newton's memoized lanes) and trace.
             traces[i].record_event("fallback",
                                    f"newton failed: {outcomes[i]}")
-            try:
-                outcomes[i] = _direct_optimize(
-                    line, driver, f, h0, k0, tol=tol,
-                    max_iterations=max_iterations, evaluator=evaluators[i],
-                    trace=traces[i])
-            except Exception as exc:  # noqa: BLE001 — per-lane isolation
-                outcomes[i] = exc
+        elif method is not OptimizerMethod.DIRECT:
+            continue
+        try:
+            outcomes[i] = _direct_optimize(
+                evaluators[i], traces[i], *seeds[i], tol=tol,
+                max_iterations=max_iterations)
+        except Exception as exc:  # noqa: BLE001 — per-lane isolation
+            outcomes[i] = exc
     return outcomes

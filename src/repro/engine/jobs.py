@@ -26,14 +26,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Optional, Tuple, Type
+from typing import (Any, ClassVar, Dict, List, Optional, Sequence, Tuple,
+                    Type, Union)
 
 import numpy as np
 
 from ..core.critical import critical_inductance
 from ..core.delay import threshold_delay
 from ..core.elmore import rc_optimum
-from ..core.optimize import OptimizerMethod, optimize_repeater
+from ..core.optimize import (OptimizerMethod, RepeaterOptimum,
+                             optimize_repeater, optimize_repeater_many)
 from ..core.params import DriverParams, LineParams, Stage
 from ..errors import OptimizationError, ParameterError
 from ..faults import hooks as _faults
@@ -395,6 +397,60 @@ def _optimum_payload(optimum, retried: bool) -> Dict[str, Any]:
                       if optimum.trace is not None else None)}
 
 
+def reseed_failed_lanes(jobs: Sequence["OptimizeJob"],
+                        outcomes: Sequence[Union[RepeaterOptimum,
+                                                 Exception]]
+                        ) -> List[Union[Dict[str, Any], Exception]]:
+    """Finish optimize lanes: the one RC re-seed retry of the package.
+
+    ``jobs`` share (driver, f, method, tol, max_iterations), i.e. they
+    form one :func:`~repro.core.optimize.optimize_repeater_many` group,
+    and ``outcomes`` are their first-pass results.  Each lane that
+    failed with :class:`OptimizationError` from a warm start it was
+    given (``initial`` set, ``retry_reseed`` true) re-runs once from
+    the closed-form RC optimum (the Elmore optimum ignores l, so this is
+    the l = 0 seed); all such lanes share one more lockstep call on
+    fresh evaluators.  ``OptimizeJob``, ``BatchOptimizeJob`` and the
+    serve layer's optimize batches all finish through here, so the same
+    failed spec reports the same error on every entry point.
+
+    Returns, per lane, its :func:`_optimum_payload` (``retried`` true
+    when the re-seed produced it) or its exception.
+    """
+    results: List[Union[Dict[str, Any], Exception]] = [
+        outcome if isinstance(outcome, Exception)
+        else _optimum_payload(outcome, False) for outcome in outcomes]
+    retry = [i for i, (job, outcome) in enumerate(zip(jobs, outcomes))
+             if isinstance(outcome, OptimizationError)
+             and job.retry_reseed and job.initial is not None]
+    if not retry:
+        return results
+    group = jobs[retry[0]]
+    seeds = [rc_optimum(jobs[i].line, jobs[i].driver) for i in retry]
+    second = optimize_repeater_many(
+        [jobs[i].line for i in retry], group.driver, group.f,
+        method=group.method,
+        initials=[(seed.h_opt, seed.k_opt) for seed in seeds],
+        tol=group.tol, max_iterations=group.max_iterations)
+    for i, seed, outcome in zip(retry, seeds, second):
+        if isinstance(outcome, OptimizationError):
+            # Retry exhausted: name both failures so the report points
+            # at the job, not just the last attempt.
+            error = OptimizationError(
+                f"optimize retry exhausted: warm start "
+                f"{jobs[i].initial} failed ({outcomes[i]}); RC re-seed "
+                f"({seed.h_opt:.6g}, {seed.k_opt:.6g}) also failed: "
+                f"{outcome}",
+                iterations=outcome.iterations, residual=outcome.residual)
+            error.__cause__ = outcome
+            results[i] = error
+        elif isinstance(outcome, Exception):
+            results[i] = outcome
+        else:
+            results[i] = _optimum_payload(outcome, True)
+    return results
+
+
 @register_job_type
 @dataclass(frozen=True)
 class OptimizeJob:
@@ -429,36 +485,19 @@ class OptimizeJob:
                 "retry_reseed": self.retry_reseed}
 
     def run(self) -> Dict[str, Any]:
-        kwargs = dict(method=self.method, tol=self.tol,
-                      max_iterations=self.max_iterations)
-        retried = False
         try:
             if _faults.ACTIVE is not None:
                 _faults.fire("optimize.warm_start")
-            optimum = optimize_repeater(self.line, self.driver, self.f,
-                                        initial=self.initial, **kwargs)
-        except OptimizationError as warm_exc:
-            if not (self.retry_reseed and self.initial is not None):
-                raise
-            # Re-seed from the RC optimum once before giving up (the
-            # Elmore optimum ignores l, so this is the l = 0 seed).
-            rc_ref = rc_optimum(self.line, self.driver)
-            try:
-                optimum = optimize_repeater(
-                    self.line, self.driver, self.f,
-                    initial=(rc_ref.h_opt, rc_ref.k_opt), **kwargs)
-            except OptimizationError as exc:
-                # Retry exhausted: name both failures so the batch
-                # report points at the job, not just the last attempt.
-                raise OptimizationError(
-                    f"optimize retry exhausted: warm start "
-                    f"{self.initial} failed ({warm_exc}); RC re-seed "
-                    f"({rc_ref.h_opt:.6g}, {rc_ref.k_opt:.6g}) also "
-                    f"failed: {exc}",
-                    iterations=exc.iterations,
-                    residual=exc.residual) from exc
-            retried = True
-        return _optimum_payload(optimum, retried)
+            outcome = optimize_repeater(
+                self.line, self.driver, self.f, method=self.method,
+                initial=self.initial, tol=self.tol,
+                max_iterations=self.max_iterations)
+        except OptimizationError as exc:
+            outcome = exc
+        (result,) = reseed_failed_lanes([self], [outcome])
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     def summary(self, result: Dict[str, Any]) -> str:
         return (f"h={result['h_opt']:.6g}m k={result['k_opt']:.6g} "
@@ -490,22 +529,20 @@ class BatchOptimizeJob:
     independent ``optimize_repeater`` runs; this job executes them with
     two batching advantages over N :class:`OptimizeJob`\\ s:
 
-    * the N seed evaluations run as *one* kernel batch (grouped by
-      scalar semantics, see
-      :func:`repro.core.evaluate.prime_evaluators`), pre-warming each
-      lane's :class:`~repro.core.evaluate.StageEvaluator` memo,
-    * the N Newton inner loops advance in *lockstep*
-      (:func:`repro.core.optimize.optimize_repeater_many`): every
-      iteration pools all lanes' finite-difference probes — and every
-      backtracking wave's trial points — into single pooled kernel
-      batches, and
+    * the N Newton loops advance in *lockstep*
+      (:func:`repro.core.optimize.optimize_repeater_many`): the seeds,
+      every iteration's finite-difference probes and every backtracking
+      wave's trial points pool into single kernel batches, and the
+      failed warm starts re-seed together (:func:`reseed_failed_lanes`),
+      and
     * the whole batch is a single cache entry / pool dispatch.
 
     Per-lane results — including the convergence path, the attached
-    trace, and any per-lane failure — are bitwise identical to running
-    each lane as its own :class:`OptimizeJob` (lane evaluation is
-    batch-size invariant).  Failed lanes are isolated into ``errors``;
-    ``best_index`` points at the lowest surviving delay per unit length.
+    trace with its counters, and any per-lane failure — are identical
+    to running each lane as its own :class:`OptimizeJob` (lane
+    evaluation is batch-size invariant).  Failed lanes are isolated
+    into ``errors``; ``best_index`` points at the lowest surviving delay
+    per unit length.
     """
 
     kind: ClassVar[str] = "batch_optimize"
@@ -561,61 +598,34 @@ class BatchOptimizeJob:
                 "retry_reseed": self.retry_reseed}
 
     def run(self) -> Dict[str, Any]:
-        from ..core.evaluate import StageEvaluator, prime_evaluators
-        from ..core.optimize import optimize_repeater_many
-
-        evaluators = [StageEvaluator(line, self.driver, self.f)
-                      for line in self.lines]
-        seeds = []
-        for i, line in enumerate(self.lines):
-            init = self.initials[i] if self.initials is not None else None
-            if init is None:
-                rc_ref = rc_optimum(line, self.driver)
-                seeds.append((rc_ref.h_opt, rc_ref.k_opt))
-            else:
-                seeds.append((init[0], init[1]))
-        primed = prime_evaluators(evaluators, seeds)
-
-        kwargs = dict(method=self.method, tol=self.tol,
-                      max_iterations=self.max_iterations)
+        initials = self.initials or (None,) * len(self.lines)
+        lanes = [OptimizeJob(line=line, driver=self.driver, f=self.f,
+                             method=self.method, initial=initial,
+                             tol=self.tol,
+                             max_iterations=self.max_iterations,
+                             retry_reseed=self.retry_reseed)
+                 for line, initial in zip(self.lines, initials)]
         outcomes = optimize_repeater_many(
-            self.lines, self.driver, self.f, initials=seeds,
-            evaluators=evaluators, **kwargs)
+            self.lines, self.driver, self.f, method=self.method,
+            initials=initials, tol=self.tol,
+            max_iterations=self.max_iterations)
         results: list = []
         errors: list = []
-        for i, outcome in enumerate(outcomes):
-            user_init = (self.initials[i] if self.initials is not None
-                         else None)
-            retried = False
-            if (isinstance(outcome, OptimizationError)
-                    and self.retry_reseed and user_init is not None):
-                # Re-seed from the RC optimum once before giving up, on
-                # the same (already warm) evaluator — the per-lane twin
-                # of OptimizeJob's retry.
-                rc_ref = rc_optimum(self.lines[i], self.driver)
-                try:
-                    outcome = optimize_repeater(
-                        self.lines[i], self.driver, self.f,
-                        initial=(rc_ref.h_opt, rc_ref.k_opt),
-                        evaluator=evaluators[i], **kwargs)
-                    retried = True
-                except Exception as exc:  # noqa: BLE001 — lane isolation
-                    outcome = exc
-            if isinstance(outcome, Exception):
+        for i, result in enumerate(reseed_failed_lanes(lanes, outcomes)):
+            if isinstance(result, Exception):
                 results.append(None)
                 errors.append({"lane": i,
-                               "error_type": type(outcome).__name__,
-                               "error": str(outcome)})
-                continue
-            results.append(_optimum_payload(outcome, retried))
+                               "error_type": type(result).__name__,
+                               "error": str(result)})
+            else:
+                results.append(result)
         ok = [i for i, res in enumerate(results) if res is not None]
         best_index = (min(ok, key=lambda i: results[i]["delay_per_length"])
                       if ok else None)
         return {"n": len(self),
                 "results": results,
                 "errors": errors,
-                "best_index": best_index,
-                "seeds_primed": primed}
+                "best_index": best_index}
 
     def summary(self, result: Dict[str, Any]) -> str:
         failed = len(result["errors"])

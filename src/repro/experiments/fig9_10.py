@@ -11,6 +11,7 @@ undershoot, output cleanliness and the oscillation period.
 from __future__ import annotations
 
 from .. import units
+from ..errors import ParameterError, SimulationError
 from ..tech.node import get_node
 from .base import ExperimentResult, experiment
 from .ring import DEFAULT_RING_SEGMENTS, run_ring
@@ -38,8 +39,12 @@ def run(node_name: str = "100nm", l_values=PAPER_L_VALUES,
                             steps_per_period=steps_per_period)
         vin = run_data.input_waveform
         vout = run_data.output_waveform
-        period = run_data.period()
-        rows.append([float(l_nh), units.to_ps(period),
+        try:
+            period = run_data.period()
+        except (ParameterError, SimulationError):
+            period = None       # too few crossings to measure a period
+        rows.append([float(l_nh),
+                     None if period is None else units.to_ps(period),
                      vin.overshoot(vdd), vin.undershoot(0.0),
                      vout.overshoot(vdd), vout.undershoot(0.0)])
         data[f"l={l_nh}"] = {"input": vin, "output": vout, "period": period}
@@ -49,7 +54,8 @@ def run(node_name: str = "100nm", l_values=PAPER_L_VALUES,
         "paper: at l = 2.2 nH/mm undershoot falsely switches the inverter "
         "and the period drops to less than half (Fig. 10)",
     ]
-    if len(rows) >= 2:
+    if len(rows) >= 2 and rows[0][1] is not None \
+            and rows[1][1] is not None:
         ratio = rows[1][1] / rows[0][1]
         notes.append(f"measured period ratio "
                      f"(l={l_values[1]} / l={l_values[0]}): {ratio:.2f}")

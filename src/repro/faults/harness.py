@@ -40,14 +40,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from . import hooks
 from .plan import FAULT_POINTS, FaultPlan, FaultRule
 
-#: Trace fields describing the lockstep pooling itself — the only part
-#: of an optimize payload allowed to differ between a batched lane and a
-#: solo run (mirrors ``EXACT_AT_ANY_BATCH_SIZE`` in the service layer).
-EXECUTION_COUNTERS = ("lanes_evaluated", "batch_calls", "memo_hits")
-
-#: Sites that may legitimately change an optimize payload beyond the
-#: execution counters (a re-seeded retry converges to the same optimum
-#: from a different start, so traces and ``retried`` flags differ).
+#: Sites that may legitimately change an optimize payload (a re-seeded
+#: retry converges to the same optimum from a different start, so
+#: traces and ``retried`` flags differ).
 #: The NaN-lane kernel fault belongs here too: the repaired lane is
 #: re-solved to solver tolerance, not bitwise, and the optimizer's
 #: Newton trajectory amplifies that last-ulp tau difference into a
@@ -196,17 +191,11 @@ def _request_document(job: Any) -> Dict[str, Any]:
     return job_to_dict(job)
 
 
-def _normalized(kind: str, payload: Dict[str, Any]) -> str:
-    """Canonical form for comparison; optimize counters stripped."""
+def _normalized(payload: Dict[str, Any]) -> str:
+    """Canonical form for comparison."""
     from ..engine.jobs import canonical_json
 
-    document = dict(payload)
-    if kind == "optimize":
-        trace = document.get("trace")
-        if isinstance(trace, dict):
-            document["trace"] = {k: v for k, v in trace.items()
-                                 if k not in EXECUTION_COUNTERS}
-    return canonical_json(document)
+    return canonical_json(payload)
 
 
 def _ground_truths(plan: FaultPlan, workload: Dict[str, List[Any]]
@@ -215,7 +204,7 @@ def _ground_truths(plan: FaultPlan, workload: Dict[str, List[Any]]
     truths: Dict[str, List[str]] = {}
     with plan.suspended():
         for kind, jobs in workload.items():
-            truths[kind] = [_normalized(kind, job.run()) for job in jobs]
+            truths[kind] = [_normalized(job.run()) for job in jobs]
     return truths
 
 
@@ -260,7 +249,7 @@ def _drive_serve(plan: FaultPlan, report: RunReport,
             report.responses_ok += 1
             if kind == "optimize" and optimize_faulted:
                 return  # a re-seeded lane legitimately differs bitwise
-            served = _normalized(kind, response["result"])
+            served = _normalized(response["result"])
             if served != truths[kind][index]:
                 report.violation(
                     "bitwise",
@@ -448,7 +437,7 @@ def _drive_engine(plan: FaultPlan, report: RunReport,
             report.responses_ok += 1
             if kind == "optimize" and optimize_faulted:
                 continue
-            produced = _normalized(kind, outcome.result)
+            produced = _normalized(outcome.result)
             if produced != truths[kind][index]:
                 report.violation(
                     "bitwise",
@@ -580,7 +569,7 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
                         f"backend delay[{index}] failed under a "
                         f"dispatch-plane fault (lane isolation must "
                         f"not be affected): {outcome.error}")
-                elif (_normalized("delay", outcome.result)
+                elif (_normalized(outcome.result)
                         != truths["delay"][index]):
                     report.violation(
                         "bitwise",
@@ -630,7 +619,7 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
                 f"{type(result).__name__}: {result}")
         elif isinstance(result, dict) and result.get("ok"):
             report.responses_ok += 1
-            served = _normalized("delay", result["result"])
+            served = _normalized(result["result"])
             if served != truths["delay"][index]:
                 report.violation(
                     "bitwise",
@@ -677,7 +666,7 @@ def _drive_store(plan: FaultPlan, report: RunReport,
     jobs = workload["delay"]
     plan_inert = not plan.rules
     with plan.suspended():
-        truths = [_normalized("delay", job.run()) for job in jobs]
+        truths = [_normalized(job.run()) for job in jobs]
 
     # ~2.5 records of budget: the fourth put must evict, so the
     # eviction seam is reachable from a six-job phase.
@@ -702,7 +691,7 @@ def _drive_store(plan: FaultPlan, report: RunReport,
                         f"armed: {exc}")
                 continue
             report.responses_ok += 1
-            if _normalized("delay", result) != truths[index]:
+            if _normalized(result) != truths[index]:
                 report.violation(
                     "bitwise",
                     f"store delay[{index}] single-flight result differs "
@@ -724,7 +713,7 @@ def _drive_store(plan: FaultPlan, report: RunReport,
                         f"store delay[{index}] record vanished after a "
                         f"successful put with no fault armed")
                 continue
-            if _normalized("delay", replayed) != truths[index]:
+            if _normalized(replayed) != truths[index]:
                 report.violation(
                     "bitwise",
                     f"store delay[{index}] replayed record differs from "
@@ -783,7 +772,7 @@ def _drive_store(plan: FaultPlan, report: RunReport,
             status, payload = got
             if status == "ok":
                 report.responses_ok += 1
-                if _normalized("delay", payload) != truth_b:
+                if _normalized(payload) != truth_b:
                     report.violation(
                         "bitwise",
                         "single-flight follower received a result "

@@ -18,18 +18,19 @@ The batch evaluators are where the serve layer meets the kernel layer:
 * ``critical_inductance`` batches run
   :func:`~repro.core.kernels.critical_inductance_v`,
 * ``optimize`` batches group lanes by shared (driver, f, method, tol,
-  max_iterations) and run each group's Newton loops in lockstep via
-  :func:`~repro.core.optimize.optimize_repeater_many`, replicating
-  :class:`~repro.engine.jobs.OptimizeJob`'s RC re-seed retry per lane.
+  max_iterations), run each group's Newton loops in lockstep via
+  :func:`~repro.core.optimize.optimize_repeater_many` and finish them
+  through :func:`~repro.engine.jobs.reseed_failed_lanes`, the RC
+  re-seed retry :class:`~repro.engine.jobs.OptimizeJob` runs too.
 
 Every evaluator produces per-lane result dicts **bitwise identical** to
 the corresponding solo ``job.run()`` (the scalar-vs-vector guarantees of
-the kernel and evaluator layers) — except the optimize trace's execution
-counters, which describe the lockstep pooling itself (see
-:data:`EXACT_AT_ANY_BATCH_SIZE` for how the cache stays coherent with
-``repro-batch`` regardless).  A batch of one skips the vectorized path
-and calls ``job.run()`` directly — that scalar path is also the honest
-baseline the serve benchmark compares micro-batching against.
+the kernel and evaluator layers; an optimize lane's trace counters
+included), so the service caches every successful lane and the store
+stays coherent with ``repro-batch``.  A batch of one skips the
+vectorized path and calls ``job.run()`` directly — that scalar path is
+also the honest baseline the serve benchmark compares micro-batching
+against.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..core.elmore import rc_optimum
 from ..core.kernels import (StageBatch, critical_inductance_v,
                             threshold_delay_v)
-from ..core.optimize import optimize_repeater, optimize_repeater_many
+from ..core.optimize import optimize_repeater_many
 from ..engine.backends import Backend, make_backend
-from ..engine.jobs import _optimum_payload, nonfinite_path
+from ..engine.jobs import nonfinite_path, reseed_failed_lanes
 from ..engine.store import ResultStore, flight_key
 from ..errors import OptimizationError
 from ..faults import hooks as _faults
@@ -163,10 +163,10 @@ def evaluate_optimize_batch(jobs: Sequence[Any]) -> List[Dict[str, Any]]:
     """N optimize requests, lockstep-batched per shared configuration.
 
     Lanes sharing (driver, f, method, tol, max_iterations) run their
-    Newton loops in lockstep through ``optimize_repeater_many`` —
-    per-lane results, traces and failures bitwise identical to solo
-    ``optimize_repeater`` — and each failed lane replays
-    ``OptimizeJob``'s RC re-seed retry before reporting its own error.
+    Newton loops in lockstep through ``optimize_repeater_many`` and
+    finish through ``reseed_failed_lanes`` — the same driver and retry
+    as ``OptimizeJob.run``, so each lane's payload or error text equals
+    its solo run's.
     """
     if len(jobs) == 1:
         return [_solo_envelope(jobs[0])]
@@ -185,7 +185,6 @@ def evaluate_optimize_batch(jobs: Sequence[Any]) -> List[Dict[str, Any]]:
             for i in indices:
                 envelopes[i] = _solo_envelope(jobs[i])
             continue
-        outcomes = list(outcomes)
         if _faults.ACTIVE is not None:
             # Named fault site: exactly one lane of the lockstep batch
             # diverges; the re-seed retry below must recover (or fail)
@@ -196,29 +195,13 @@ def evaluate_optimize_batch(jobs: Sequence[Any]) -> List[Dict[str, Any]]:
                 outcomes[lane] = OptimizationError(
                     "injected fault at serve.optimize.lane_error: "
                     "lane diverged")
-        for i, outcome in zip(indices, outcomes):
-            job = jobs[i]
-            retried = False
-            if (isinstance(outcome, OptimizationError)
-                    and job.retry_reseed and job.initial is not None):
-                # The warm start failed: re-seed once from the RC
-                # optimum, exactly as the solo OptimizeJob.run does.
-                rc_ref = rc_optimum(job.line, job.driver)
-                try:
-                    outcome = optimize_repeater(
-                        job.line, job.driver, job.f,
-                        initial=(rc_ref.h_opt, rc_ref.k_opt),
-                        method=job.method, tol=job.tol,
-                        max_iterations=job.max_iterations)
-                    retried = True
-                except Exception as exc:  # noqa: BLE001 — lane isolation
-                    outcome = exc
-            if isinstance(outcome, Exception):
-                envelopes[i] = {"ok": False, "error": str(outcome),
-                                "error_type": type(outcome).__name__}
+        results = reseed_failed_lanes([jobs[i] for i in indices], outcomes)
+        for i, result in zip(indices, results):
+            if isinstance(result, Exception):
+                envelopes[i] = {"ok": False, "error": str(result),
+                                "error_type": type(result).__name__}
             else:
-                envelopes[i] = {"ok": True,
-                                "result": _optimum_payload(outcome, retried)}
+                envelopes[i] = {"ok": True, "result": result}
     assert all(envelope is not None for envelope in envelopes)
     return envelopes  # type: ignore[return-value]
 
@@ -229,16 +212,6 @@ EVALUATORS: Dict[str, Callable[[Sequence[Any]], List[Dict[str, Any]]]] = {
     "critical_inductance": evaluate_critical_inductance_batch,
     "optimize": evaluate_optimize_batch,
 }
-
-#: Kinds whose batched payloads are bitwise equal to solo ``job.run()``
-#: at any batch size, so the service may write them into the shared
-#: cache unconditionally.  Batched *optimize* lanes match solo runs in
-#: every optimum/step/event field, but the trace's execution counters
-#: (``lanes_evaluated``/``batch_calls``/``memo_hits``) describe the
-#: lockstep pooling itself and legitimately differ — those results are
-#: cached only when they were evaluated as a batch of one, keeping
-#: every record in the store bitwise replayable by the engine.
-EXACT_AT_ANY_BATCH_SIZE = frozenset({"delay", "critical_inductance"})
 
 #: Default dispatch workers for a service-owned backend.
 DEFAULT_SERVE_WORKERS = max(1, min(8, os.cpu_count() or 1))
@@ -407,8 +380,7 @@ class ReproService:
                    else self.default_timeout)
         result, batch_size = await batcher.submit(request.job,
                                                   timeout=timeout)
-        if use_cache and (kind in EXACT_AT_ANY_BATCH_SIZE
-                          or batch_size <= 1):
+        if use_cache:
             try:
                 await self.backend.run_io_async(
                     lambda: self.cache.put(request.job, result))

@@ -128,6 +128,7 @@ class TestOptimizeJob:
         rc_ref = rc_optimum(line, driver)
         rc_seed = (rc_ref.h_opt, rc_ref.k_opt)
         real_optimize = jobs_module.optimize_repeater
+        real_many = jobs_module.optimize_repeater_many
         calls = []
 
         def flaky(line_, driver_, f=0.5, *, initial=None, **kwargs):
@@ -137,7 +138,14 @@ class TestOptimizeJob:
             return real_optimize(line_, driver_, f, initial=initial,
                                  **kwargs)
 
+        def reseed(lines, driver_, f=0.5, *, initials=None, **kwargs):
+            calls.extend(initials)
+            return real_many(lines, driver_, f, initials=initials,
+                             **kwargs)
+
         monkeypatch.setattr(jobs_module, "optimize_repeater", flaky)
+        # The re-seed retry runs through the lockstep batch call.
+        monkeypatch.setattr(jobs_module, "optimize_repeater_many", reseed)
         result = OptimizeJob(line=line, driver=driver,
                              initial=(1e-4, 5.0)).run()
         assert result["retried"] is True

@@ -16,7 +16,7 @@ import pytest
 from repro import units
 from repro.core.evaluate import (OptimizationTrace, ScalarSemantics,
                                  StageEvaluator, TraceStep,
-                                 delay_per_length_grid, prime_evaluators,
+                                 delay_per_length_grid,
                                  stationarity_residuals_v)
 from repro.core.optimize import (OptimizerMethod, _fail, optimize_repeater,
                                  optimize_repeater_many,
@@ -25,7 +25,8 @@ from repro.core.params import DriverParams, LineParams, Stage
 from repro.core.delay import threshold_delay
 from repro.core.sweep import sweep_inductance
 from repro.engine import BatchOptimizeJob, OptimizeJob
-from repro.errors import OptimizationError, ParameterError
+from repro.engine.jobs import _optimum_payload, canonical_json
+from repro.errors import DelaySolverError, OptimizationError, ParameterError
 from repro.tech.node import NODE_100NM, NODE_250NM
 
 NODES = {"100nm": NODE_100NM, "250nm": NODE_250NM}
@@ -164,22 +165,6 @@ class TestStageEvaluator:
             [0.01], [100.0])
         assert not sem_l.numpy_b1 and sem_l.numpy_db2
 
-    def test_prime_evaluators_warm_starts_memo(self):
-        node = NODE_100NM
-        lines = [_line_at(node, l) for l in (0.0, 1.0, 2.0)]
-        evaluators = [StageEvaluator(line, node.driver, 0.5)
-                      for line in lines]
-        seeds = [(0.012, 300.0)] * 3
-        primed = prime_evaluators(evaluators, seeds)
-        assert primed == 3
-        for evaluator, line in zip(evaluators, lines):
-            assert evaluator.lanes_evaluated == 1
-            evaluator.evaluate(0.012, 300.0)
-            assert evaluator.memo_hits == 1
-            g1, g2, tau = stationarity_residuals(line, node.driver, 0.012,
-                                                 300.0, 0.5)
-            assert evaluator.evaluate(0.012, 300.0)[:3] == (g1, g2, tau)
-
     def test_batched_residuals_lane_values(self):
         node = NODE_100NM
         line = _line_at(node, 1.0)
@@ -297,14 +282,10 @@ class TestEngineJobs:
         batch = BatchOptimizeJob(driver=node.driver, lines=lines).run()
         assert batch["n"] == 3
         assert batch["errors"] == []
-        assert batch["seeds_primed"] == 3
         for lane, line in enumerate(lines):
             single = OptimizeJob(line=line, driver=node.driver).run()
-            got = batch["results"][lane]
-            assert got["h_opt"] == single["h_opt"]
-            assert got["k_opt"] == single["k_opt"]
-            assert got["tau"] == single["tau"]
-            assert got["iterations"] == single["iterations"]
+            assert canonical_json(batch["results"][lane]) \
+                == canonical_json(single)
         delays = [r["delay_per_length"] for r in batch["results"]]
         assert batch["best_index"] == delays.index(min(delays))
 
@@ -377,20 +358,34 @@ class TestLockstep:
         for i, line in enumerate(lines):
             solo = optimize_repeater(line, node.driver)
             got = outcomes[i]
-            assert float(got.h_opt) == float(solo.h_opt)
-            assert float(got.k_opt) == float(solo.k_opt)
-            assert float(got.tau) == float(solo.tau)
-            assert got.iterations == solo.iterations
-            assert got.method is solo.method
+            # Optimum, every trace step and event, and the trace's
+            # execution counters: a lane's payload is batch-size free.
+            assert canonical_json(_optimum_payload(got, False)) \
+                == canonical_json(_optimum_payload(solo, False))
             # Raw np iterates survive the lockstep path too (warm-start
             # chains depend on them ulp-for-ulp).
             assert type(got.h_opt) is type(solo.h_opt)
-            assert len(got.trace.steps) == len(solo.trace.steps)
-            for a, b in zip(got.trace.steps, solo.trace.steps):
-                assert (a.h, a.k, a.g1, a.g2, a.tau, a.residual_norm,
-                        a.step_scale, a.backtracks) == \
-                       (b.h, b.k, b.g1, b.g2, b.tau, b.residual_norm,
-                        b.step_scale, b.backtracks)
+
+    def test_failed_pooled_batch_leaves_neighbour_counters_alone(
+            self, monkeypatch):
+        import repro.core.evaluate as evaluate_mod
+
+        node = NODE_100NM
+        healthy, marked = _line_at(node, 1.0), _line_at(node, 2.0)
+        real = evaluate_mod.stationarity_residuals_v
+
+        def poisoned(r, l, *args, **kwargs):
+            if float(marked.l) in list(l):
+                raise DelaySolverError("injected: marked line")
+            return real(r, l, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate_mod, "stationarity_residuals_v",
+                            poisoned)
+        alone = optimize_repeater_many([healthy], node.driver)[0]
+        outcomes = optimize_repeater_many([healthy, marked], node.driver)
+        assert isinstance(outcomes[1], DelaySolverError)
+        assert canonical_json(_optimum_payload(outcomes[0], False)) \
+            == canonical_json(_optimum_payload(alone, False))
 
     def test_lockstep_pools_kernel_batches(self, monkeypatch):
         import repro.core.evaluate as evaluate_mod

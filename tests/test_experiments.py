@@ -64,8 +64,8 @@ class TestThroughEngine:
     """Every experiment as an ``ExperimentJob`` — the CLI's only path.
 
     Overrides keep each run small; the ring experiments' short period
-    budget leaves fig11 with no measurable period, so its undefined
-    cells take the engine's non-finite screen too.
+    budget leaves fig9_10 and fig11 with no measurable period, so their
+    undefined cells take the engine's non-finite screen too.
     """
 
     TINY = {"segments": 2, "period_budget": 3.0, "steps_per_period": 100}
@@ -77,9 +77,7 @@ class TestThroughEngine:
         "fig6": {"points": 3},
         "fig7": {"points": 3, "include_control": False},
         "fig8": {"points": 3},
-        # fig9_10 tabulates a measured period: it needs enough cycles.
-        "fig9_10": {"l_values": (1.8,), "segments": 2,
-                    "period_budget": 10.0, "steps_per_period": 200},
+        "fig9_10": {**TINY, "l_values": (1.8,)},
         "fig11": {**TINY, "l_values": (1.0, 3.0)},
         "fig12": {**TINY, "l_values": (0.5,)},
         "ext_bus": {"inductive_couplings": (0.0, 0.3), "segments": 2},
@@ -106,6 +104,7 @@ class TestThroughEngine:
         by_id = dict(zip(ids, batch))
         assert by_id["fig6"].result["rows"][0][2] is None   # l = 0
         assert by_id["fig11"].result["data"]["periods"] == [None, None]
+        assert by_id["fig9_10"].result["rows"][0][1] is None  # period
 
     def test_fig11_onset_treats_none_as_not_oscillating(self):
         from repro.experiments.fig11 import _collapse_onset

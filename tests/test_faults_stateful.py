@@ -35,8 +35,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 from repro.engine.jobs import canonical_json, job_to_dict
 from repro.engine.store import DiskStore
 from repro.faults import FaultPlan, FaultRule, hooks
-from repro.faults.harness import (EXECUTION_COUNTERS, OPTIMIZE_FAULT_SITES,
-                                  _workload_jobs)
+from repro.faults.harness import OPTIMIZE_FAULT_SITES, _workload_jobs
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.server import ServerThread
 from repro.serve.service import ReproService
@@ -59,22 +58,12 @@ _WORKLOAD = None
 _TRUTHS = None
 
 
-def _normalized(kind, payload):
-    document = dict(payload)
-    if kind == "optimize":
-        trace = document.get("trace")
-        if isinstance(trace, dict):
-            document["trace"] = {k: v for k, v in trace.items()
-                                 if k not in EXECUTION_COUNTERS}
-    return canonical_json(document)
-
-
 def _workload_and_truths():
     global _WORKLOAD, _TRUTHS
     if _WORKLOAD is None:
         assert hooks.ACTIVE is None
         _WORKLOAD = _workload_jobs()
-        _TRUTHS = {kind: [_normalized(kind, job.run()) for job in jobs]
+        _TRUTHS = {kind: [canonical_json(job.run()) for job in jobs]
                    for kind, jobs in _WORKLOAD.items()}
     return _WORKLOAD, _TRUTHS
 
@@ -130,7 +119,7 @@ class FaultedServerMachine(RuleBasedStateMachine):
             if kind == "optimize" \
                     and self.armed_sites & OPTIMIZE_FAULT_SITES:
                 return  # re-seeded lanes legitimately differ bitwise
-            assert _normalized(kind, response["result"]) \
+            assert canonical_json(response["result"]) \
                 == self.truths[kind][index], \
                 f"{kind}[{index}] served result differs from solo run"
         else:

@@ -12,19 +12,16 @@ import asyncio
 import pytest
 
 from repro import NODE_100NM, OptimizerMethod, units
-from repro.engine.jobs import (CriticalInductanceJob, DelayJob, OptimizeJob,
-                               canonical_json, job_to_dict)
+from repro.engine.jobs import (BatchOptimizeJob, CriticalInductanceJob,
+                               DelayJob, OptimizeJob, canonical_json,
+                               job_to_dict)
 from repro.engine.store import DiskStore
+from repro.errors import OptimizationError
 from repro.serve.protocol import (BadRequestError, EvaluationFailedError,
                                   ServeRequest, ServiceClosedError)
-from repro.serve.service import EXACT_AT_ANY_BATCH_SIZE, ReproService
+from repro.serve.service import ReproService
 
 NH = units.NH_PER_MM
-
-#: Trace counters describing the lockstep pooling itself — the one part
-#: of an optimize payload that legitimately differs between a batched
-#: lane and a solo run (see EXACT_AT_ANY_BATCH_SIZE).
-EXECUTION_COUNTERS = ("lanes_evaluated", "batch_calls", "memo_hits")
 
 
 def delay_jobs(l_values_nh):
@@ -50,14 +47,13 @@ def poisoned_optimize_job():
                        retry_reseed=False)
 
 
-def normalized(payload):
-    """Canonical JSON with the lockstep execution counters removed."""
-    document = dict(payload)
-    trace = document.get("trace")
-    if isinstance(trace, dict):
-        document["trace"] = {k: v for k, v in trace.items()
-                             if k not in EXECUTION_COUNTERS}
-    return canonical_json(document)
+def doomed_optimize_job(l_nh):
+    """Warm start and RC re-seed both fail: a retry-exhausted lane."""
+    return OptimizeJob(line=NODE_100NM.line_with_inductance(l_nh * NH),
+                       driver=NODE_100NM.driver,
+                       method=OptimizerMethod.NEWTON,
+                       initial=(1e-4, 5.0), max_iterations=3,
+                       retry_reseed=True)
 
 
 def submit_burst(service, jobs, **request_kwargs):
@@ -100,18 +96,15 @@ class TestBatchedEqualsSolo:
             assert canonical_json(response["result"]) \
                 == canonical_json(job.run())
 
-    def test_optimize_lanes_identical_up_to_execution_counters(self):
+    def test_optimize_lanes_bitwise_identical(self):
         jobs = optimize_jobs([0.0, 0.7, 1.4])
         service = ReproService(cache=None, max_linger=0.2)
         responses = submit_burst(service, jobs)
         assert ("optimize", len(jobs)) in service.metrics.batch_sizes
         for job, response in zip(jobs, responses):
-            solo = job.run()
-            assert normalized(response["result"]) == normalized(solo)
-            # The optimum itself is exactly equal, not approximately.
-            assert response["result"]["h_opt"] == solo["h_opt"]
-            assert response["result"]["k_opt"] == solo["k_opt"]
-            assert response["result"]["tau"] == solo["tau"]
+            # Trace counters included: a lane runs the same driver alone.
+            assert canonical_json(response["result"]) \
+                == canonical_json(job.run())
 
 
 class TestFaultIsolation:
@@ -124,8 +117,36 @@ class TestFaultIsolation:
         assert isinstance(bad, EvaluationFailedError)
         assert "did not converge" in bad.message
         # The surviving lanes still match their solo runs.
-        assert normalized(good_a["result"]) == normalized(jobs[0].run())
-        assert normalized(good_b["result"]) == normalized(jobs[2].run())
+        assert canonical_json(good_a["result"]) \
+            == canonical_json(jobs[0].run())
+        assert canonical_json(good_b["result"]) \
+            == canonical_json(jobs[2].run())
+
+
+class TestOnePayloadPerSpec:
+    def test_exhausted_retry_reports_the_same_error_everywhere(self):
+        jobs = [doomed_optimize_job(l) for l in (1.5, 2.0)]
+        expected = []
+        for job in jobs:
+            with pytest.raises(OptimizationError) as excinfo:
+                job.run()
+            expected.append(str(excinfo.value))
+        assert all(text.startswith("optimize retry exhausted")
+                   for text in expected)
+
+        service = ReproService(cache=None, max_linger=0.2)
+        served = submit_burst(service, jobs)
+        assert ("optimize", len(jobs)) in service.metrics.batch_sizes
+        assert all(isinstance(error, EvaluationFailedError)
+                   for error in served)
+        assert [error.message for error in served] == expected
+
+        batch = BatchOptimizeJob(
+            driver=NODE_100NM.driver, lines=tuple(job.line for job in jobs),
+            method=OptimizerMethod.NEWTON,
+            initials=tuple(job.initial for job in jobs),
+            max_iterations=3).run()
+        assert [error["error"] for error in batch["errors"]] == expected
 
 
 class TestCachePaths:
@@ -167,19 +188,16 @@ class TestCachePaths:
         for job, response in zip(jobs, responses):
             assert DiskStore(tmp_path).get(job) == job.run()
 
-    def test_batched_optimize_results_are_not_cached(self, tmp_path):
-        assert "optimize" not in EXACT_AT_ANY_BATCH_SIZE
+    def test_batched_optimize_results_are_cached(self, tmp_path):
         jobs = optimize_jobs([0.0, 1.0])
         cache = DiskStore(tmp_path)
         responses = submit_burst(
             ReproService(cache=cache, max_linger=0.2), jobs)
         assert all(r["ok"] and r["batch_size"] == 2 for r in responses)
-        assert cache.stats().entries == 0
-        # A batch of one *is* cached: its trace is the engine's own.
-        (solo,) = submit_burst(
-            ReproService(cache=cache, max_linger=0.0), jobs[:1])
-        assert solo["batch_size"] == 1
-        assert DiskStore(tmp_path).get(jobs[0]) == jobs[0].run()
+        assert cache.stats().entries == len(jobs)
+        # Each record replays bitwise what the engine would store.
+        for job in jobs:
+            assert DiskStore(tmp_path).get(job) == job.run()
 
 
 class TestLifecycleAndProtocol:

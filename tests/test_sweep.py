@@ -84,6 +84,7 @@ class TestFailureRecovery:
         rc_seed = (rc_ref.h_opt, rc_ref.k_opt)
         grid = np.array([0.0, 1.0]) * units.NH_PER_MM
         real_optimize = jobs_module.optimize_repeater
+        real_many = jobs_module.optimize_repeater_many
         seen = []
 
         def flaky(line, driver, f=0.5, *, initial=None, **kwargs):
@@ -92,7 +93,13 @@ class TestFailureRecovery:
                 raise OptimizationError("poisoned warm start")
             return real_optimize(line, driver, f, initial=initial, **kwargs)
 
+        def reseed(lines, driver, f=0.5, *, initials=None, **kwargs):
+            seen.extend(initials)
+            return real_many(lines, driver, f, initials=initials, **kwargs)
+
         monkeypatch.setattr(jobs_module, "optimize_repeater", flaky)
+        # The re-seed retry runs through the lockstep batch call.
+        monkeypatch.setattr(jobs_module, "optimize_repeater_many", reseed)
         sweep = sweep_inductance(NODE_100NM.line, NODE_100NM.driver, grid)
         # Point 1 was tried with the warm start, then re-seeded.
         assert seen[1] != rc_seed
@@ -110,6 +117,8 @@ class TestFailureRecovery:
             raise OptimizationError("hopeless")
 
         monkeypatch.setattr(jobs_module, "optimize_repeater", always_fails)
+        monkeypatch.setattr(jobs_module, "optimize_repeater_many",
+                            always_fails)
         grid = np.array([0.0, 1.0]) * units.NH_PER_MM
         with pytest.raises(OptimizationError, match="sweep point 0"):
             sweep_inductance(NODE_100NM.line, NODE_100NM.driver, grid)
