@@ -8,12 +8,12 @@ inductance through the false-switching onset.  Below the onset the input
 waveform rings but the output is clean; above it, undershoot flips the
 inverter mid-cycle and the oscillation period collapses.
 
-Run:  python examples/ring_oscillator_failure.py   (~1 minute)
+Run:  python examples/ring_oscillator_failure.py   (~5 seconds)
 """
 
 from repro import units
 from repro.analysis import assess_current_density, current_density_report
-from repro.experiments.ring import run_ring
+from repro.experiments.ring import run_ring_sweep
 from repro.tech import NODE_100NM
 
 
@@ -26,9 +26,11 @@ def main() -> None:
 
     reference_period = None
     collapse_reported = False
-    for l_nh in (1.0, 1.6, 2.0, 2.4, 3.0):
-        run = run_ring(node.name, l_nh, segments=10,
-                       period_budget=10.0, steps_per_period=500)
+    l_values = (1.0, 1.6, 2.0, 2.4, 3.0)
+    # One lockstep transient runs all five rings.
+    runs = run_ring_sweep(node.name, l_values, segments=10,
+                          period_budget=10.0, steps_per_period=500)
+    for l_nh, run in zip(l_values, runs):
         vin = run.input_waveform
         vout = run.output_waveform
         try:

@@ -26,8 +26,8 @@ from .mna import DEFAULT_GMIN, MnaStructure, dc_operating_point
 from .mosfet import DEFAULT_LAMBDA, Mosfet
 from .netlist import GROUND, Circuit
 from .rlc_line import LadderSection, RlcLadder, add_rlc_ladder
-from .transient import (TransientOptions, TransientResult, TransientSolver,
-                        simulate)
+from .transient import (Crossing, TransientOptions, TransientResult,
+                        TransientSolver, simulate)
 from .waveforms import DC, PiecewiseLinear, Pulse, Sine, Step
 
 from .export import SpiceExport, to_spice, write_spice
@@ -50,6 +50,7 @@ __all__ = [
     "DEFAULT_LAMBDA", "Mosfet",
     "GROUND", "Circuit",
     "LadderSection", "RlcLadder", "add_rlc_ladder",
-    "TransientOptions", "TransientResult", "TransientSolver", "simulate",
+    "Crossing", "TransientOptions", "TransientResult", "TransientSolver",
+    "simulate",
     "DC", "PiecewiseLinear", "Pulse", "Sine", "Step",
 ]

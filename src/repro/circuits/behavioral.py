@@ -78,9 +78,10 @@ class SwitchInverter(NonlinearDevice):
         dsigma = sigma * (1.0 - sigma) / self.width
         return self.vdd * sigma, -self.vdd * dsigma
 
-    def stamp(self, voltages, index_of, matrix, rhs) -> None:
-        v_in = voltages(self.input_node)
-        v_out = voltages(self.output_node)
+    def stamp(self, voltages, terminals, size, matrix, rhs) -> None:
+        i_in, i_out = terminals
+        v_in = voltages[i_in]
+        v_out = voltages[i_out]
         v_rail, dv_rail = self.rail_voltage(v_in)
         g = 1.0 / self.r_out
 
@@ -88,11 +89,10 @@ class SwitchInverter(NonlinearDevice):
         current = (v_out - v_rail) * g
         d_dout = g
         d_din = -dv_rail * g
-        i_out = index_of(self.output_node)
-        i_in = index_of(self.input_node)
         i_eq = current - (d_dout * v_out + d_din * v_in)
         if i_out >= 0:
-            matrix[i_out, i_out] += d_dout
+            row = i_out * size
+            matrix[row + i_out] += d_dout
             if i_in >= 0:
-                matrix[i_out, i_in] += d_din
+                matrix[row + i_in] += d_din
             rhs[i_out] -= i_eq

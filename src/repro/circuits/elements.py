@@ -140,24 +140,33 @@ class NonlinearDevice(Element):
     """Interface for devices stamped per Newton iteration.
 
     Implementations provide :meth:`stamp`, which receives the candidate
-    node-voltage lookup and adds the linearized companion (conductances
+    terminal voltages and adds the linearized companion (conductances
     into ``matrix``, residual currents into ``rhs``) for the current
     iterate.  See :class:`repro.circuits.mosfet.Mosfet` and
     :class:`repro.circuits.behavioral.SwitchInverter`.
     """
 
-    def stamp(self, voltages, index_of, matrix, rhs) -> None:
+    def stamp(self, voltages, terminals, size, matrix, rhs) -> None:
         """Add this device's linearized stamp at the given voltage iterate.
+
+        The device evaluates in Python floats and accumulates, one entry
+        at a time, into the flat sequences
+        :meth:`~repro.circuits.mna.MnaStructure.stamp_nonlinear` passes.
 
         Parameters
         ----------
         voltages:
-            Callable mapping a node name to its candidate voltage.
-        index_of:
-            Callable mapping a node name to its MNA row (or -1 for ground).
+            List of candidate voltages, read at the terminal positions;
+            position -1 (ground) reads 0 V.
+        terminals:
+            Position of each of :attr:`nodes` in the system, -1 for ground.
+        size:
+            Number of rows of the system.
         matrix, rhs:
-            Dense MNA matrix and right-hand side to accumulate into, using
-            the Norton form: rhs carries +I_eq into the node the linearized
-            current flows out of.
+            The system matrix, flattened row-major (entry (i, j) at
+            ``i * size + j``), and right-hand side, as flat sequences of
+            floats to accumulate into, using the Norton form: rhs carries
+            +I_eq into the node the linearized current flows out of.
+            Ground rows and columns are not stamped.
         """
         raise NotImplementedError

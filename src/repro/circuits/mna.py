@@ -7,14 +7,16 @@ branch current per inductor and per voltage source.  KCL rows come first
 All companion-model stamping for transient analysis lives in
 :mod:`repro.circuits.transient`; this module owns the index maps
 (including the nonlinear-terminal block the transient solver's Schur
-complement runs on), the static (resistive + topological) stamps shared
-by DC and transient, and the Newton DC operating-point solve with gmin
+complement runs on, and the layout that lockstep lanes share), the static
+(resistive + topological) stamps and the device stamps shared by DC and
+transient, and the Newton DC operating-point solve with gmin
 continuation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -66,6 +68,14 @@ class MnaStructure:
              m.mutual_inductance(inductor_by_name[m.inductor_a].inductance,
                                  inductor_by_name[m.inductor_b].inductance))
             for m in self.mutuals]
+        #: The system without its values: nodes, each element's type, name
+        #: and terminals, and the coupled branch rows, in order.  Circuits
+        #: with one layout share every index map, so a transient can
+        #: advance them in lockstep.
+        self.layout = (tuple(self.node_names),
+                       tuple((type(e), e.name, e.nodes)
+                             for e in circuit.elements),
+                       tuple((a, b) for a, b, _ in self.mutual_terms))
 
     # ------------------------------------------------------------------
     def node_index(self, node: str) -> int:
@@ -142,10 +152,9 @@ class MnaStructure:
                        ) -> Callable[[str], float]:
         """Return a node-name -> voltage lookup of vector x.
 
-        The lookup reads a copy of ``x`` taken now (Python floats, which
-        device stamps index faster than array elements).  ``index`` maps
-        node names to positions in ``x`` (ground -> -1); it defaults to
-        the full MNA map.
+        The lookup reads a copy of ``x`` taken now, as Python floats.
+        ``index`` maps node names to positions in ``x`` (ground -> -1); it
+        defaults to the full MNA map.
         """
         index = self._node_index if index is None else index
         values = x.tolist()
@@ -209,20 +218,54 @@ class MnaStructure:
             if ib >= 0:
                 rhs[ib] += value
 
-    def stamp_nonlinear(self, x: np.ndarray, matrix: np.ndarray,
-                        rhs: np.ndarray,
-                        index: Optional[Mapping[str, int]] = None) -> None:
-        """Let every nonlinear device add its linearized stamp at iterate x.
+    def device_terminals(self, index: Optional[Mapping[str, int]] = None
+                         ) -> Tuple[Tuple[int, ...], ...]:
+        """Per nonlinear device, the positions of its terminals.
 
-        ``index`` maps device terminals to positions in ``x``, ``matrix``
-        and ``rhs`` (ground -> -1); it defaults to the full MNA map.  The
-        transient solver passes the T-local map of :meth:`terminal_block`.
+        ``index`` maps node names to positions (ground -> -1); it defaults
+        to the full MNA map.  The transient solver passes the T-local map
+        of :meth:`terminal_block`.
         """
         index = self._node_index if index is None else index
-        voltages = self.voltage_getter(x, index)
-        index_of = index.__getitem__
-        for device in self.nonlinear:
-            device.stamp(voltages, index_of, matrix, rhs)
+        return tuple(tuple(index[node] for node in device.nodes)
+                     for device in self.nonlinear)
+
+    def stamp_nonlinear(self, x: np.ndarray, matrix: np.ndarray,
+                        rhs: np.ndarray,
+                        terminals: Optional[Tuple[Tuple[int, ...], ...]]
+                        = None,
+                        devices: Optional[Sequence[Sequence[NonlinearDevice]]]
+                        = None) -> Tuple[np.ndarray, np.ndarray]:
+        """``matrix`` and ``rhs`` plus every nonlinear device's linearized
+        stamp, per lane.
+
+        ``x`` (lanes, m) holds each lane's iterate, ``matrix`` (lanes, m, m)
+        and ``rhs`` (lanes, m) the system the stamps add to; the inputs are
+        left unchanged.  ``terminals`` is :meth:`device_terminals` of the
+        map from nodes to positions in ``x``; it defaults to the full MNA
+        map.  ``devices`` lists each lane's devices, in the order of a
+        circuit with this layout; it defaults to this circuit's devices for
+        every lane.
+
+        The devices evaluate in Python floats (see
+        :meth:`~repro.circuits.elements.NonlinearDevice.stamp`) and
+        accumulate through flat memoryviews of the returned copies, which
+        index faster than array elements and need no conversion back.
+        """
+        lanes, size = x.shape
+        if terminals is None:
+            terminals = self.device_terminals()
+        stamped = np.array(matrix, dtype=float, order="C")
+        currents = np.array(rhs, dtype=float, order="C")
+        for lane_devices, voltages, lane_matrix, lane_rhs in zip(
+                devices or [self.nonlinear] * lanes, x.tolist(), stamped,
+                currents):
+            voltages.append(0.0)            # ground, read at position -1
+            flat = memoryview(lane_matrix).cast("B").cast("d")
+            lane_rhs = memoryview(lane_rhs)
+            for device, rows in zip(lane_devices, terminals):
+                device.stamp(voltages, rows, size, flat, lane_rhs)
+        return stamped, currents
 
 
 def dc_operating_point(circuit: Circuit, *, t: float = 0.0,
@@ -275,11 +318,10 @@ def _dc_newton(structure: MnaStructure, x0: np.ndarray, *, t: float,
 
     x = x0.copy()
     for _ in range(max_iterations):
-        matrix = base.copy()
-        rhs = rhs_base.copy()
-        structure.stamp_nonlinear(x, matrix, rhs)
+        matrix, rhs = structure.stamp_nonlinear(x[None], base[None],
+                                                rhs_base[None])
         try:
-            x_new = np.linalg.solve(matrix, rhs)
+            x_new = np.linalg.solve(matrix[0], rhs[0])
         except np.linalg.LinAlgError as exc:
             raise SimulationError(f"singular MNA matrix in DC solve: {exc}") \
                 from exc

@@ -116,31 +116,29 @@ class Mosfet(NonlinearDevice):
         # the conductances; only the current itself carries the polarity.
         return sign * current, gm, gds
 
-    def stamp(self, voltages, index_of, matrix, rhs) -> None:
-        vd = voltages(self.drain)
-        vg = voltages(self.gate)
-        vs = voltages(self.source)
+    def stamp(self, voltages, terminals, size, matrix, rhs) -> None:
+        d, g, s = terminals
+        vd = voltages[d]
+        vg = voltages[g]
+        vs = voltages[s]
         current, gm, gds = self.evaluate(vd, vg, vs)
-
-        i_d = index_of(self.drain)
-        i_g = index_of(self.gate)
-        i_s = index_of(self.source)
         g_source = -(gm + gds)
         # Norton equivalent current of the linearization.
         i_eq = current - (gm * vg + gds * vd + g_source * vs)
 
-        if i_d >= 0:
-            if i_g >= 0:
-                matrix[i_d, i_g] += gm
-            if i_d >= 0:
-                matrix[i_d, i_d] += gds
-            if i_s >= 0:
-                matrix[i_d, i_s] += g_source
-            rhs[i_d] -= i_eq
-        if i_s >= 0:
-            if i_g >= 0:
-                matrix[i_s, i_g] -= gm
-            if i_d >= 0:
-                matrix[i_s, i_d] -= gds
-            matrix[i_s, i_s] -= g_source
-            rhs[i_s] += i_eq
+        if d >= 0:
+            row = d * size
+            if g >= 0:
+                matrix[row + g] += gm
+            matrix[row + d] += gds
+            if s >= 0:
+                matrix[row + s] += g_source
+            rhs[d] -= i_eq
+        if s >= 0:
+            row = s * size
+            if g >= 0:
+                matrix[row + g] -= gm
+            if d >= 0:
+                matrix[row + d] -= gds
+            matrix[row + s] -= g_source
+            rhs[s] += i_eq

@@ -18,25 +18,37 @@ the rest, L, is linear.  Per ``(dt, method)`` the solver caches
     lu(A_LL),   W = A_LL^-1 A_LT,   S = A_TT - A_TL W   (Schur complement).
 
 Each step solves y_L = A_LL^-1 b_L once.  Each Newton iteration stamps the
-devices' linearization (:meth:`~repro.circuits.elements.NonlinearDevice.stamp`)
+devices' linearization (:meth:`~repro.circuits.mna.MnaStructure.stamp_nonlinear`)
 into a copy of S, solves the small system
 (S + J) x_T = b_T - A_TL y_L + r and recovers x_L = y_L - W x_T.  A linear
 circuit has T empty and costs one back-substitution per step.  On Newton
 failure a step is recursively halved (up to a configurable depth), which
 carries the ring-oscillator circuits of Sec. 3.3 through their switching
 instants.
+
+One solver advances N circuits that share one MNA layout (lanes: the
+same netlist with different element values, e.g. a ring at several line
+inductances) in lockstep, and one circuit is the N = 1 case of the same
+code.  The lanes' step matrices are stacked, each step builds every
+lane's right-hand side at once, and the Newton iterations run on the
+stacked terminal blocks: a lane that converges leaves the iteration, and
+a lane whose Newton fails takes the recursive halving alone and rejoins
+at the next step.  The stacked LAPACK and BLAS calls compute each lane
+exactly as a run of that lane alone does, so every lane's waveforms are
+bitwise those of its own run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrs
 
-from ..errors import SimulationError
+from ..errors import NetlistError, SimulationError
 from .elements import Resistor
 from .mna import DEFAULT_GMIN, MnaStructure
 from .netlist import GROUND, Circuit
@@ -62,14 +74,71 @@ class TransientOptions:
             raise ValueError(f"unknown integration method {self.method!r}")
 
 
-class TransientResult:
-    """Waveform storage for one transient run."""
+@dataclass(frozen=True)
+class Crossing:
+    """Stop condition: ``node`` crosses ``level`` in one direction.
 
-    def __init__(self, structure: MnaStructure, times: np.ndarray,
-                 states: np.ndarray) -> None:
-        self._structure = structure
+    A step crosses when the node sits strictly on the starting side of
+    the level before it and at or past the level after it, the rule of
+    :meth:`repro.analysis.waveform.Waveform.first_crossing`; a run that
+    stops there still holds the measured crossing bit for bit.
+    """
+
+    node: str
+    level: float
+    rising: bool = True
+
+    def crossed(self, before: float, after: float) -> bool:
+        """Whether a step from ``before`` to ``after`` volts crosses."""
+        before, after = before - self.level, after - self.level
+        if self.rising:
+            return before < 0.0 <= after
+        return before > 0.0 >= after
+
+
+class TransientResult:
+    """The shared time grid of one run and each lane's recorded waveforms.
+
+    The waveform accessors read a one-lane result: one circuit's run, or
+    one lane of a lockstep taken with :meth:`lane`.  The arrays are
+    read-only; the accessors return copies.
+    """
+
+    def __init__(self, structures: Sequence[MnaStructure], times: np.ndarray,
+                 states: np.ndarray,
+                 columns: Optional[Dict[int, int]]) -> None:
+        self._structures = structures
         self.time = times                   #: (n_points,) seconds
-        self._states = states               #: (n_points, size)
+        self._states = states               #: (n_points, lanes, recorded)
+        #: MNA row -> column of ``_states``; None when every row is recorded.
+        self._columns = columns
+        times.flags.writeable = False
+        states.flags.writeable = False
+
+    @property
+    def lanes(self) -> int:
+        """Number of circuits the run advanced in lockstep."""
+        return self._states.shape[1]
+
+    def lane(self, i: int) -> "TransientResult":
+        """The result of lane ``i`` alone (shares this result's arrays)."""
+        i = range(self.lanes)[i]
+        return TransientResult(self._structures[i:i + 1], self.time,
+                               self._states[:, i:i + 1], self._columns)
+
+    @property
+    def _structure(self) -> MnaStructure:
+        if self.lanes != 1:
+            raise SimulationError(
+                f"this result holds {self.lanes} lanes; read one through "
+                f"lane(i)")
+        return self._structures[0]
+
+    def _read(self, row: int, name: str) -> np.ndarray:
+        column = row if self._columns is None else self._columns.get(row)
+        if column is None:
+            raise NetlistError(f"{name!r} was not recorded in this run")
+        return self._states[:, 0, column].copy()
 
     @property
     def node_names(self) -> list[str]:
@@ -81,11 +150,11 @@ class TransientResult:
         i = self._structure.node_index(node)
         if i < 0:
             return np.zeros_like(self.time)
-        return self._states[:, i].copy()
+        return self._read(i, node)
 
     def branch_current(self, name: str) -> np.ndarray:
         """Current through an inductor or voltage source (a -> b)."""
-        return self._states[:, self._structure.branch_row(name)].copy()
+        return self._read(self._structure.branch_row(name), name)
 
     def resistor_current(self, name: str) -> np.ndarray:
         """Current through a resistor computed as g * (v_a - v_b)."""
@@ -97,62 +166,95 @@ class TransientResult:
         return (va - vb) * element.conductance
 
     def final_voltages(self) -> Dict[str, float]:
-        """Node voltages at the final time point."""
+        """Recorded node voltages at the final time point."""
+        structure = self._structure
         out = {GROUND: 0.0}
-        for node in self._structure.node_names:
-            out[node] = float(self._states[-1, self._structure.node_index(node)])
+        for node in structure.node_names:
+            row = structure.node_index(node)
+            if self._columns is None or row in self._columns:
+                out[node] = float(self._read(row, node)[-1])
         return out
 
 
 @dataclass(frozen=True)
 class _StepMatrices:
-    """The parts of the step system that depend only on (dt, method)."""
+    """The parts of every lane's step system that depend only on
+    (dt, method), stacked over the lanes."""
 
-    lu: Optional[tuple]        #: lu_factor(A_LL); None when L is empty
-    w: np.ndarray              #: A_LL^-1 A_LT
+    lu: list                   #: per lane lu_factor(A_LL); None when L is empty
+    w_t: np.ndarray            #: (A_LL^-1 A_LT)^T, each lane row-major
     schur: np.ndarray          #: S = A_TT - A_TL W
     a_tl: np.ndarray           #: A_TL, which folds y_L into b_T
     cap_geq: np.ndarray        #: capacitor companion conductances
     ind_coef: np.ndarray       #: inductor companion factor * L / dt
     mut_coef: np.ndarray       #: factor * M / dt per stamped mutual entry
+    errors: dict               #: lane -> SimulationError of a singular A_LL
+
+
+#: Initial node voltages: one map for every lane, or one map per lane.
+_InitialVoltages = Union[Mapping[str, float],
+                        Sequence[Optional[Mapping[str, float]]], None]
 
 
 class TransientSolver:
-    """Runs fixed-step transient analysis on one circuit."""
+    """Runs fixed-step transient analysis on one circuit, or in lockstep on
+    several circuits that share one MNA layout (the lanes)."""
 
-    def __init__(self, circuit: Circuit,
+    def __init__(self, circuits: Union[Circuit, Sequence[Circuit]],
                  options: Optional[TransientOptions] = None) -> None:
-        circuit.validate()
-        self.circuit = circuit
+        lanes = [circuits] if isinstance(circuits, Circuit) else list(circuits)
+        if not lanes:
+            raise NetlistError("a transient run needs at least one circuit")
+        for circuit in lanes:
+            circuit.validate()
         self.options = options or TransientOptions()
-        structure = self.structure = MnaStructure(circuit)
+        self.structures = [MnaStructure(circuit) for circuit in lanes]
+        structure = self.structure = self.structures[0]
+        for other in self.structures[1:]:
+            if other.layout != structure.layout:
+                raise NetlistError(
+                    f"circuit {other.circuit.title!r} does not share the MNA "
+                    f"layout of {structure.circuit.title!r}; lockstep lanes "
+                    f"need the same nodes and the same elements by name, "
+                    f"type and terminals, in order")
+
+        def per_lane(kind: str, value) -> np.ndarray:
+            """(lanes, count) array of ``value`` over each lane's elements
+            of one kind."""
+            return np.array([[value(e) for e in getattr(lane, kind)]
+                             for lane in self.structures], dtype=float)
 
         # Index arrays replacing per-element loops; -1 is ground, which
         # reads 0 V from the zero appended to the state (see _with_ground).
-        caps = structure.capacitors
-        self._cap_a, self._cap_b = structure.terminal_rows(caps)
-        self._cap_c = np.array([c.capacitance for c in caps], dtype=float)
-        self._cap_has_ic = np.array([c.initial_voltage is not None
-                                     for c in caps], dtype=bool)
-        self._cap_ic = np.array([c.initial_voltage or 0.0 for c in caps],
-                                dtype=float)
+        self._cap_a, self._cap_b = structure.terminal_rows(
+            structure.capacitors)
+        self._cap_c = per_lane("capacitors", lambda c: c.capacitance)
+        self._cap_has_ic = per_lane(
+            "capacitors", lambda c: c.initial_voltage is not None) > 0.0
+        self._cap_ic = per_lane("capacitors",
+                                lambda c: c.initial_voltage or 0.0)
         # History scatter: +I_hist into node a and -I_hist into node b, in
         # element order, so node sums accumulate as the stamps always did.
         scatter = [(row, j, sign)
                    for j, (a, b) in enumerate(zip(self._cap_a.tolist(),
                                                   self._cap_b.tolist()))
                    for row, sign in ((a, 1.0), (b, -1.0)) if row >= 0]
-        self._hist_rows = np.array([s[0] for s in scatter], dtype=np.intp)
+        hist_rows = np.array([s[0] for s in scatter], dtype=np.intp)
         self._hist_cap = np.array([s[1] for s in scatter], dtype=np.intp)
         self._hist_sign = np.array([s[2] for s in scatter], dtype=float)
+        # One bincount builds every lane's right-hand side: lane k's rows
+        # are offset by k * size.  Keyed by lane count (N, or 1 for a lane
+        # that halves alone).
+        self._hist_rows = {
+            n: (hist_rows + structure.size * np.arange(n)[:, None]).ravel()
+            for n in {1, len(lanes)}}
 
         inductors = structure.inductors
         self._ind_rows = np.array([structure.branch_row(e.name)
                                    for e in inductors], dtype=np.intp)
         self._ind_a, self._ind_b = structure.terminal_rows(inductors)
-        self._ind_l = np.array([e.inductance for e in inductors], dtype=float)
-        self._ind_i0 = np.array([e.initial_current for e in inductors],
-                                dtype=float)
+        self._ind_l = per_lane("inductors", lambda e: e.inductance)
+        self._ind_i0 = per_lane("inductors", lambda e: e.initial_current)
         # Mutual terms (row_a, row_b, M) unrolled into the two entries each
         # stamps: row_a couples to row_b's current and vice versa.
         terms = structure.mutual_terms
@@ -160,48 +262,74 @@ class TransientSolver:
                                   dtype=np.intp)
         self._mut_partner = np.array([r for a, b, _ in terms for r in (b, a)],
                                      dtype=np.intp)
-        self._mut_m = np.array([m for _, _, m in terms for _ in (0, 1)],
-                               dtype=float)
+        self._mut_m = np.array([[m for _, _, m in lane.mutual_terms
+                                 for _ in (0, 1)]
+                                for lane in self.structures], dtype=float)
         self._src_rows = np.array([structure.branch_row(s.name)
                                    for s in structure.voltage_sources],
                                   dtype=np.intp)
-        self._src_waveforms = [s.waveform for s in structure.voltage_sources]
+        self._src_waveforms = [[s.waveform for s in lane.voltage_sources]
+                               for lane in self.structures]
+        self._devices = [lane.nonlinear for lane in self.structures]
 
-        self._t_rows, self._l_rows, self._t_index = structure.terminal_block()
+        self._t_rows, self._l_rows, t_index = structure.terminal_block()
+        self._block_order = np.concatenate((self._t_rows, self._l_rows))
+        self._terminals = structure.device_terminals(t_index)
         # Step matrices keyed by (dt, method); rebuilt when dt halves.
         self._step_cache: Dict[tuple[float, str], _StepMatrices] = {}
 
     # ------------------------------------------------------------------
     def run(self, t_end: float, dt: float, *,
-            initial_voltages: Optional[Mapping[str, float]] = None
-            ) -> TransientResult:
-        """Simulate from t = 0 to ``t_end`` with nominal step ``dt``.
+            initial_voltages: _InitialVoltages = None,
+            record: Optional[Iterable[str]] = None,
+            stop: Optional[Crossing] = None) -> TransientResult:
+        """Simulate every lane from t = 0 to ``t_end`` with nominal step ``dt``.
 
         Parameters
         ----------
         initial_voltages:
-            Node name -> voltage at t = 0; unspecified nodes start at 0 V.
+            Node name -> voltage at t = 0, one map for every lane or a
+            sequence of one map per lane; unspecified nodes start at 0 V.
             Inductor initial currents come from the elements themselves.
+        record:
+            Names whose waveforms the result keeps: a node keeps its
+            voltage; an inductor or voltage source its branch current; a
+            resistor its terminal voltages, from which its current is
+            computed.  ``None`` (the default) keeps every unknown.
+        stop:
+            End the run after the first step at which every lane has
+            crossed (see :class:`Crossing`).
 
         Raises
         ------
         NetlistError
-            If ``initial_voltages`` names a node the circuit does not have.
+            If ``initial_voltages``, ``record`` or ``stop`` names a node
+            or element the circuits do not have.
         SimulationError
-            If the step matrix is singular, or Newton fails even after the
-            configured step halvings.
+            If a step matrix is singular, or Newton fails even after the
+            configured step halvings, in any lane: the first lane to fail
+            raises the error its own run raises.
         """
         if t_end <= 0.0 or dt <= 0.0:
             raise SimulationError("t_end and dt must be positive")
         # Tolerate float noise in t_end/dt (e.g. 2000.0000000000002) so an
         # exact multiple does not gain a spurious zero-length extra step.
         n_steps = max(1, int(math.ceil(t_end / dt * (1.0 - 1e-12))))
+        lanes = slice(0, len(self.structures))
 
         x, cap_current, cap_voltage = self._initial_state(initial_voltages)
+        rows = None if record is None else self._recorded_rows(record)
+        recorded = slice(None) if rows is None else rows
+        stop_levels = None                    # the stop node, per lane
+        if stop is not None:
+            stop_row = self.structure.node_index(stop.node)
+            if stop_row >= 0:                 # ground never crosses
+                crossed = [False] * len(self.structures)
+                stop_levels = x[:, stop_row].tolist()
         times = np.empty(n_steps + 1)
-        states = np.empty((n_steps + 1, self.structure.size))
+        states = np.empty((n_steps + 1,) + x[:, recorded].shape)
         times[0] = 0.0
-        states[0] = x
+        states[0] = x[:, recorded]
 
         t = 0.0
         for step in range(1, n_steps + 1):
@@ -212,95 +340,67 @@ class TransientSolver:
             # First step uses BE to damp inconsistent initial conditions.
             method = ("backward_euler" if step == 1 else self.options.method)
             x, cap_current, cap_voltage = self._advance(
-                x, cap_current, cap_voltage, t, step_dt, method,
+                lanes, x, cap_current, cap_voltage, t, step_dt, method,
                 depth=0)
             t = t_target
             times[step] = t
-            states[step] = x
-        return TransientResult(self.structure, times, states)
+            states[step] = x[:, recorded]
+            if stop_levels is not None:
+                levels = x[:, stop_row].tolist()
+                crossed = [done or stop.crossed(before, after)
+                           for done, before, after
+                           in zip(crossed, stop_levels, levels)]
+                stop_levels = levels
+                if all(crossed):
+                    times = times[:step + 1].copy()
+                    states = states[:step + 1].copy()
+                    break
+        columns = None if rows is None else \
+            {row: j for j, row in enumerate(rows.tolist())}
+        return TransientResult(self.structures, times, states, columns)
 
     # ------------------------------------------------------------------
-    def run_adaptive(self, t_end: float, *, dt_initial: float,
-                     dt_min: float, dt_max: float,
-                     lte_reltol: float = 1e-3, lte_abstol: float = 1e-6,
-                     initial_voltages: Optional[Mapping[str, float]] = None,
-                     safety: float = 0.9) -> TransientResult:
-        """Adaptive-step transient with step-doubling error control.
-
-        Each accepted step compares one full step of size dt against two
-        half steps (Richardson estimate of the local truncation error of
-        the trapezoidal rule); the step shrinks when the weighted error
-        exceeds one and grows (up to 2x, capped at ``dt_max``) when it is
-        comfortably below.  The half-step (more accurate) solution is the
-        one kept.  Useful when a waveform alternates fast edges with long
-        quiet stretches — the ring oscillators of Figs. 9-11 take 3-6x
-        fewer steps than the fixed-step run at equal accuracy.
-
-        Returns a :class:`TransientResult` on the (non-uniform) accepted
-        time grid.
-        """
-        if t_end <= 0.0 or dt_initial <= 0.0:
-            raise SimulationError("t_end and dt_initial must be positive")
-        if not 0.0 < dt_min <= dt_initial <= dt_max:
-            raise SimulationError(
-                "need 0 < dt_min <= dt_initial <= dt_max")
-
-        x, cap_current, cap_voltage = self._initial_state(initial_voltages)
-        times = [0.0]
-        states = [x.copy()]
-        t = 0.0
-        dt = dt_initial
-        first = True
-        while t < t_end * (1.0 - 1e-12):
-            dt = min(dt, t_end - t)
-            method = "backward_euler" if first else self.options.method
-            try:
-                full, _, _ = self._single_step(x, cap_current, cap_voltage,
-                                               t, dt, method)
-                x_half, cc_half, cv_half = self._single_step(
-                    x, cap_current, cap_voltage, t, 0.5 * dt, method)
-                x_new, cc_new, cv_new = self._single_step(
-                    x_half, cc_half, cv_half, t + 0.5 * dt, 0.5 * dt,
-                    method)
-            except SimulationError:
-                if dt <= dt_min * (1.0 + 1e-12):
-                    raise
-                dt = max(dt_min, 0.5 * dt)
-                continue
-            weight = lte_abstol + lte_reltol * np.maximum(np.abs(x_new),
-                                                          np.abs(x))
-            error = float(np.max(np.abs(x_new - full) / weight))
-            if error > 1.0 and dt > dt_min * (1.0 + 1e-12):
-                dt = max(dt_min, safety * dt / np.sqrt(error))
-                continue
-            # Accept the half-step solution.
-            t += dt
-            x, cap_current, cap_voltage = x_new, cc_new, cv_new
-            times.append(t)
-            states.append(x.copy())
-            first = False
-            if error < 0.25:
-                dt = min(dt_max, 2.0 * dt)
-            elif error > 0.75:
-                dt = max(dt_min, safety * dt / np.sqrt(max(error, 1e-12)))
-        return TransientResult(self.structure, np.asarray(times),
-                               np.asarray(states))
-
-    # ------------------------------------------------------------------
-    def _initial_state(self, initial_voltages: Optional[Mapping[str, float]]):
-        """State vector, capacitor currents and voltages at t = 0."""
+    def _initial_state(self, initial_voltages: _InitialVoltages):
+        """State vectors, capacitor currents and voltages at t = 0, per lane."""
         structure = self.structure
-        x = np.zeros(structure.size)
-        if initial_voltages:
-            for node, value in initial_voltages.items():
+        n_lanes = len(self.structures)
+        if initial_voltages is None or isinstance(initial_voltages, Mapping):
+            per_lane = [initial_voltages] * n_lanes
+        else:
+            per_lane = list(initial_voltages)
+            if len(per_lane) != n_lanes:
+                raise SimulationError(
+                    f"{len(per_lane)} initial-voltage maps for "
+                    f"{n_lanes} lanes")
+        x = np.zeros((n_lanes, structure.size))
+        for lane_x, values in zip(x, per_lane):
+            for node, value in (values or {}).items():
                 i = structure.node_index(node)
                 if i >= 0:
-                    x[i] = value
-        x[self._ind_rows] = self._ind_i0
+                    lane_x[i] = value
+        x[:, self._ind_rows] = self._ind_i0
         voltages = _with_ground(x)
         cap_voltage = np.where(self._cap_has_ic, self._cap_ic,
-                               voltages[self._cap_a] - voltages[self._cap_b])
-        return x, np.zeros(len(cap_voltage)), cap_voltage
+                               voltages[:, self._cap_a]
+                               - voltages[:, self._cap_b])
+        return x, np.zeros_like(cap_voltage), cap_voltage
+
+    def _recorded_rows(self, names: Iterable[str]) -> np.ndarray:
+        """Ascending MNA rows that reading ``names`` needs (see :meth:`run`)."""
+        structure = self.structure
+        rows = set()
+        for name in names:
+            element = (structure.circuit.element(name)
+                       if name in structure.circuit else None)
+            if element is None:
+                rows.add(structure.node_index(name))
+            elif isinstance(element, Resistor):
+                rows.update(structure.node_index(node)
+                            for node in element.nodes)
+            else:
+                rows.add(structure.branch_row(name))
+        rows.discard(-1)                      # ground is always 0 V
+        return np.array(sorted(rows), dtype=np.intp)
 
     def _step_matrices(self, dt: float, method: str) -> _StepMatrices:
         key = (dt, method)
@@ -313,151 +413,236 @@ class TransientSolver:
         ind_coef = factor * self._ind_l / dt
         mut_coef = factor * self._mut_m / dt
 
-        matrix = np.zeros((structure.size, structure.size))
-        structure.stamp_static(matrix, gmin=self.options.gmin)
-        for a, b, geq in zip(self._cap_a.tolist(), self._cap_b.tolist(),
-                             cap_geq.tolist()):
-            structure.stamp_conductance(matrix, a, b, geq)
-        # Branch rows carry +v_ab from stamp_static, so the trapezoidal
-        # companion reads v_ab - (factor L/dt) i = -(factor L/dt) i_n [- v_ab,n].
-        matrix[self._ind_rows, self._ind_rows] -= ind_coef
-        # Mutual coupling: v1 picks up M di2/dt (and symmetrically).
-        np.subtract.at(matrix, (self._mut_rows, self._mut_partner), mut_coef)
-
         # Empty blocks are skipped, not handed to LAPACK: an all-terminal
         # circuit (the inverter calibration bench) has no L, a linear
         # circuit has no T.
         t_rows, l_rows = self._t_rows, self._l_rows
-        a_tl = matrix[np.ix_(t_rows, l_rows)]
-        lu = None
-        w = np.zeros((l_rows.size, t_rows.size))
-        if l_rows.size:
-            lu = lu_factor(matrix[np.ix_(l_rows, l_rows)], check_finite=False)
-            # lu_factor only warns on an exactly zero pivot.
-            if not np.all(np.diagonal(lu[0])):
-                raise SimulationError(
-                    f"singular transient matrix (dt={dt:g}, {method}): "
-                    f"zero pivot in the linear block")
-            if t_rows.size:
-                w = lu_solve(lu, matrix[np.ix_(l_rows, t_rows)],
-                             check_finite=False)
+        n_lanes = len(self.structures)
+        w_t = np.zeros((n_lanes, t_rows.size, l_rows.size))
+        schur = np.empty((n_lanes, t_rows.size, t_rows.size))
+        a_tl = np.empty((n_lanes, t_rows.size, l_rows.size))
+        lus, errors = [], {}
+        for lane, lane_structure in enumerate(self.structures):
+            matrix = np.zeros((structure.size, structure.size))
+            lane_structure.stamp_static(matrix, gmin=self.options.gmin)
+            for a, b, geq in zip(self._cap_a.tolist(), self._cap_b.tolist(),
+                                 cap_geq[lane].tolist()):
+                structure.stamp_conductance(matrix, a, b, geq)
+            # Branch rows carry +v_ab from stamp_static, so the trapezoidal
+            # companion reads v_ab - (factor L/dt) i = -(factor L/dt) i_n
+            # [- v_ab,n].
+            matrix[self._ind_rows, self._ind_rows] -= ind_coef[lane]
+            # Mutual coupling: v1 picks up M di2/dt (and symmetrically).
+            np.subtract.at(matrix, (self._mut_rows, self._mut_partner),
+                           mut_coef[lane])
+
+            lane_a_tl = a_tl[lane] = matrix[np.ix_(t_rows, l_rows)]
+            lane_w = w_t[lane].T
+            lu = None
+            if l_rows.size:
+                lu = lu_factor(matrix[np.ix_(l_rows, l_rows)],
+                               check_finite=False)
+                # lu_factor only warns on an exactly zero pivot.
+                if not np.all(np.diagonal(lu[0])):
+                    errors[lane] = SimulationError(
+                        f"singular transient matrix (dt={dt:g}, {method}): "
+                        f"zero pivot in the linear block")
+                elif t_rows.size:
+                    lane_w = lu_solve(lu, matrix[np.ix_(l_rows, t_rows)],
+                                      check_finite=False)
+                    w_t[lane] = lane_w.T
+            lus.append(lu)
+            schur[lane] = matrix[np.ix_(t_rows, t_rows)] - lane_a_tl @ lane_w
         matrices = _StepMatrices(
-            lu=lu, w=w, schur=matrix[np.ix_(t_rows, t_rows)] - a_tl @ w,
-            a_tl=a_tl, cap_geq=cap_geq, ind_coef=ind_coef, mut_coef=mut_coef)
+            lu=lus, w_t=w_t, schur=schur, a_tl=a_tl, cap_geq=cap_geq,
+            ind_coef=ind_coef, mut_coef=mut_coef, errors=errors)
         if len(self._step_cache) > 32:
             self._step_cache.clear()
         self._step_cache[key] = matrices
         return matrices
 
-    def _advance(self, x: np.ndarray, cap_current: np.ndarray,
+    def _advance(self, lanes: slice, x: np.ndarray, cap_current: np.ndarray,
                  cap_voltage: np.ndarray, t: float, dt: float,
                  method: str, depth: int):
-        """Advance one step of size dt; recursively halve on failure."""
-        try:
-            return self._single_step(x, cap_current, cap_voltage, t, dt,
-                                     method)
-        except SimulationError:
+        """Advance ``lanes`` one step of size dt; a lane that fails halves
+        the step recursively, alone."""
+        x_new, cap_current_new, cap_voltage_new, failures = \
+            self._single_step(lanes, x, cap_current, cap_voltage, t, dt,
+                              method)
+        for j in sorted(failures):
             if depth >= self.options.max_step_halvings:
-                raise
-        half = 0.5 * dt
-        x1, c1, v1 = self._advance(x, cap_current, cap_voltage, t, half,
-                                   method, depth + 1)
-        return self._advance(x1, c1, v1, t + half, half, method, depth + 1)
+                raise failures[j]
+            lane = slice(lanes.start + j, lanes.start + j + 1)
+            half = 0.5 * dt
+            state = self._advance(lane, x[j:j + 1], cap_current[j:j + 1],
+                                  cap_voltage[j:j + 1], t, half, method,
+                                  depth + 1)
+            state = self._advance(lane, *state, t + half, half, method,
+                                  depth + 1)
+            x_new[j], cap_current_new[j], cap_voltage_new[j] = \
+                (part[0] for part in state)
+        return x_new, cap_current_new, cap_voltage_new
 
-    def _single_step(self, x: np.ndarray, cap_current: np.ndarray,
-                     cap_voltage: np.ndarray, t: float, dt: float,
-                     method: str):
+    def _single_step(self, lanes: slice, x: np.ndarray,
+                     cap_current: np.ndarray, cap_voltage: np.ndarray,
+                     t: float, dt: float, method: str):
+        """One step of every lane in ``lanes``; returns the new states and
+        {position in lanes: SimulationError} for the lanes that failed."""
         structure = self.structure
+        n, size = x.shape
         t_next = t + dt
         trapezoidal = method == "trapezoidal"
         step = self._step_matrices(dt, method)
+        lane_ids = range(len(self.structures))[lanes]
+        failures = {j: step.errors[lane] for j, lane in enumerate(lane_ids)
+                    if lane in step.errors}
 
         # Capacitor companion history.
-        hist = step.cap_geq * cap_voltage
+        cap_geq = step.cap_geq[lanes]
+        hist = cap_geq * cap_voltage
         if trapezoidal:
             hist += cap_current
         # (bincount returns integers for a circuit without capacitors.)
-        rhs = np.bincount(self._hist_rows,
-                          hist[self._hist_cap] * self._hist_sign,
-                          minlength=structure.size).astype(float, copy=False)
+        rhs = np.bincount(self._hist_rows[n],
+                          (hist[:, self._hist_cap] * self._hist_sign).ravel(),
+                          minlength=n * size).astype(float, copy=False)
+        rhs = rhs.reshape(n, size)
         # Inductor companion history.
-        ind_hist = step.ind_coef * x[self._ind_rows]
-        if trapezoidal:
-            voltages = _with_ground(x)
-            ind_hist += voltages[self._ind_a] - voltages[self._ind_b]
-        rhs[self._ind_rows] = -ind_hist
+        if self._ind_rows.size:
+            ind_hist = step.ind_coef[lanes] * x[:, self._ind_rows]
+            if trapezoidal:
+                voltages = _with_ground(x)
+                ind_hist += voltages[:, self._ind_a] - voltages[:, self._ind_b]
+            rhs[:, self._ind_rows] = -ind_hist
         if self._mut_rows.size:
-            np.subtract.at(rhs, self._mut_rows,
-                           step.mut_coef * x[self._mut_partner])
+            np.subtract.at(rhs, (slice(None), self._mut_rows),
+                           step.mut_coef[lanes] * x[:, self._mut_partner])
         # Independent sources at t_{n+1}.
-        rhs[self._src_rows] = [waveform(t_next)
-                               for waveform in self._src_waveforms]
-        structure.stamp_current_sources(rhs, t_next)
+        rhs[:, self._src_rows] = [[waveform(t_next) for waveform in waveforms]
+                                  for waveforms in self._src_waveforms[lanes]]
+        if structure.current_sources:
+            for lane_structure, lane_rhs in zip(self.structures[lanes], rhs):
+                lane_structure.stamp_current_sources(lane_rhs, t_next)
 
+        # Each lane takes one back-substitution through its own LU.
+        y_l = rhs[:, self._l_rows]
+        if self._l_rows.size:
+            for j, lane in enumerate(lane_ids):
+                if j not in failures:
+                    y_l[j] = dgetrs(*step.lu[lane], y_l[j])[0]
         if self._t_rows.size:
-            x_new = self._newton(step, rhs, x, t_next, dt)
+            x_new = self._newton(lanes, step, rhs, y_l, x, t_next, dt,
+                                 failures)
         else:
-            x_new = lu_solve(step.lu, rhs, check_finite=False)
+            x_new = x.copy()
+            live = [j for j in range(n) if j not in failures]
+            x_new[live] = y_l[live]
 
         # Update capacitor history at t_{n+1}.
         voltages = _with_ground(x_new)
-        v_next = voltages[self._cap_a] - voltages[self._cap_b]
+        v_next = voltages[:, self._cap_a] - voltages[:, self._cap_b]
         if trapezoidal:
-            new_cap_current = step.cap_geq * v_next - hist
+            new_cap_current = cap_geq * v_next - hist
         else:
-            new_cap_current = step.cap_geq * (v_next - cap_voltage)
-        return x_new, new_cap_current, v_next
+            new_cap_current = cap_geq * (v_next - cap_voltage)
+        return x_new, new_cap_current, v_next, failures
 
-    def _newton(self, step: _StepMatrices, rhs: np.ndarray, x: np.ndarray,
-                t_next: float, dt: float) -> np.ndarray:
-        """Newton on the terminal block; returns the full state at t_next."""
+    def _newton(self, lanes: slice, step: _StepMatrices, rhs: np.ndarray,
+                y_l: np.ndarray, x: np.ndarray, t_next: float, dt: float,
+                failures: dict) -> np.ndarray:
+        """Masked Newton on the stacked terminal blocks; returns the full
+        states at t_next and adds the lanes that fail to ``failures``.
+
+        The iterates are in block order [x_T | x_L]: the convergence tests
+        are elementwise or exact maxima, which the order does not change.
+        A lane that converges, or fails, leaves the stacks.
+        """
         options = self.options
-        t_rows, l_rows = self._t_rows, self._l_rows
-        y_l = rhs[l_rows]
-        if step.lu is not None:
-            y_l = lu_solve(step.lu, y_l, check_finite=False)
-        rhs_t = rhs[t_rows] - step.a_tl @ y_l
-
-        x_new = x.copy()
+        n_t = self._t_rows.size
+        rhs_t = rhs[:, self._t_rows] - np.matmul(step.a_tl[lanes],
+                                                 y_l[:, :, None])[:, :, 0]
+        done = current = x[:, self._block_order]
+        # W_T is stored transposed, so each lane's W is column-major, as
+        # lu_solve returns it: the stacked matmul then computes every lane
+        # exactly as that lane's own run does.
+        schur, w = step.schur[lanes], step.w_t[lanes].transpose(0, 2, 1)
+        devices = self._devices[lanes]
+        live = np.arange(len(x))
+        leaving = (np.array([j in failures for j in live.tolist()])
+                   if failures else None)
         for _ in range(options.max_newton_iterations):
-            matrix = step.schur.copy()
-            rhs_iter = rhs_t.copy()
-            self.structure.stamp_nonlinear(x_new[t_rows], matrix, rhs_iter,
-                                           self._t_index)
+            if leaving is not None:
+                if leaving.all():
+                    break
+                stay = ~leaving
+                live, current, y_l, rhs_t, schur, w = (
+                    part[stay] for part in (live, current, y_l, rhs_t, schur,
+                                            w))
+                devices = [d for d, keep in zip(devices, stay.tolist())
+                           if keep]
+            leaving = None
+            matrix, rhs_iter = self.structure.stamp_nonlinear(
+                current[:, :n_t], schur, rhs_t, self._terminals, devices)
             try:
-                x_t = np.linalg.solve(matrix, rhs_iter)
-            except np.linalg.LinAlgError as exc:
-                raise SimulationError(
-                    f"singular transient matrix at t={t_next:g}: {exc}") \
-                    from exc
-            x_next = np.empty_like(x)
-            x_next[t_rows] = x_t
-            x_next[l_rows] = y_l - step.w @ x_t
-            delta = x_next - x_new
+                x_t = np.linalg.solve(matrix, rhs_iter[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                # The stacked solve fails as a whole: solve lane by lane so
+                # only the singular lanes fail, as they do alone.
+                x_t = np.zeros_like(rhs_iter)
+                leaving = np.zeros(live.size, dtype=bool)
+                for k, j in enumerate(live.tolist()):
+                    try:
+                        x_t[k] = np.linalg.solve(matrix[k], rhs_iter[k])
+                    except np.linalg.LinAlgError as exc:
+                        failures[j] = SimulationError(
+                            f"singular transient matrix at t={t_next:g}: "
+                            f"{exc}")
+                        leaving[k] = True
+            x_next = np.concatenate(
+                (x_t, y_l - np.matmul(w, x_t[:, :, None])[:, :, 0]), axis=1)
+            delta = x_next - current
             abs_delta = np.abs(delta)
-            max_delta = float(abs_delta.max())
-            if max_delta > options.max_update:
-                x_new = x_new + delta * (options.max_update / max_delta)
-                continue
-            x_new = x_next
-            if (abs_delta <= options.abstol
-                    + options.reltol * np.abs(x_next)).all():
-                return x_new
-        raise SimulationError(
-            f"Newton failed to converge at t={t_next:g} (dt={dt:g})")
+            converged = _all(abs_delta <= options.abstol
+                             + options.reltol * np.abs(x_next), axis=1)
+            if _max(abs_delta, axis=None) > options.max_update:
+                max_delta = _max(abs_delta, axis=1)
+                damped = max_delta > options.max_update
+                x_next[damped] = current[damped] + delta[damped] * (
+                    options.max_update / max_delta[damped])[:, None]
+                converged &= ~damped
+            current = x_next
+            if leaving is not None:
+                converged &= ~leaving
+            if _any(converged):
+                done[live[converged]] = current[converged]
+                leaving = converged if leaving is None else converged | leaving
+        else:
+            for j in (live if leaving is None else live[~leaving]).tolist():
+                failures[j] = SimulationError(
+                    f"Newton failed to converge at t={t_next:g} (dt={dt:g})")
+        x_new = np.empty_like(x)
+        x_new[:, self._block_order] = done
+        return x_new
 
 
-_GROUND_VOLTAGE = np.zeros(1)
+#: The Newton loop's reductions: on arrays this small, the Python
+#: wrappers of the ndarray methods cost more than the reductions.
+_all, _any, _max = (np.logical_and.reduce, np.logical_or.reduce,
+                    np.maximum.reduce)
 
 
 def _with_ground(x: np.ndarray) -> np.ndarray:
-    """``x`` with a trailing 0 V, so row index -1 (ground) reads zero."""
-    return np.concatenate((x, _GROUND_VOLTAGE))
+    """``x`` (lanes, size) with a trailing 0 V column, so row index -1
+    (ground) reads zero."""
+    return np.concatenate((x, np.zeros((len(x), 1))), axis=1)
 
 
 def simulate(circuit: Circuit, t_end: float, dt: float, *,
              initial_voltages: Optional[Mapping[str, float]] = None,
-             options: Optional[TransientOptions] = None) -> TransientResult:
-    """One-call transient simulation (constructs a solver and runs it)."""
+             options: Optional[TransientOptions] = None,
+             record: Optional[Iterable[str]] = None,
+             stop: Optional[Crossing] = None) -> TransientResult:
+    """One-call transient simulation of one circuit (the N = 1 lockstep)."""
     return TransientSolver(circuit, options).run(
-        t_end, dt, initial_voltages=initial_voltages)
+        t_end, dt, initial_voltages=initial_voltages, record=record,
+        stop=stop)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from .. import units
 from ..analysis.waveform import Waveform
 from ..circuits.bus import build_bus_bench, initial_bus_voltages
-from ..circuits.transient import simulate
+from ..circuits.transient import Crossing, simulate
 from ..core.elmore import rc_optimum
 from ..extraction.capacitance import sakurai_coupling
 from ..extraction.geometry import wire_from_tech
@@ -58,10 +58,13 @@ def run(node_name: str = "100nm", l_nh: float = 1.0,
                 coupling_capacitance_per_length=coupling_c,
                 patterns=patterns, vdd=node.vdd,
                 inductive_coupling=float(km))
+            victim = bench.far_node(1)
+            # The run ends at the crossing it measures.
             result = simulate(bench.circuit, 2e-9, 2e-12,
-                              initial_voltages=initial_bus_voltages(bench))
-            waveform = Waveform(result.time,
-                                result.voltage(bench.far_node(1)))
+                              initial_voltages=initial_bus_voltages(bench),
+                              record=[victim],
+                              stop=Crossing(victim, 0.5 * node.vdd))
+            waveform = Waveform(result.time, result.voltage(victim))
             tau = waveform.first_crossing(0.5 * node.vdd)
             row.append(units.to_ps(tau))
             delays[(float(km), label)] = tau

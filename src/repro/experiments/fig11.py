@@ -14,7 +14,7 @@ from typing import Sequence
 from .. import units
 from ..errors import ParameterError, SimulationError
 from .base import ExperimentResult, experiment
-from .ring import DEFAULT_RING_SEGMENTS, run_ring
+from .ring import DEFAULT_RING_SEGMENTS, run_ring_sweep
 
 #: Default sweep (nH/mm) for the 100 nm node — dense around the onset.
 DEFAULT_L_VALUES_100NM = (0.5, 1.0, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4, 2.8, 3.2)
@@ -36,10 +36,10 @@ def run(node_name: str = "100nm",
     headers = ["l (nH/mm)", "period (ps)", "period / period(l_min)"]
     periods: list[float | None] = []
     rows = []
-    for l_nh in l_values:
-        run_data = run_ring(node_name, float(l_nh), segments=segments,
-                            style=style, period_budget=period_budget,
-                            steps_per_period=steps_per_period)
+    runs = run_ring_sweep(node_name, l_values, segments=segments,
+                          style=style, period_budget=period_budget,
+                          steps_per_period=steps_per_period)
+    for l_nh, run_data in zip(l_values, runs):
         try:
             period: float | None = run_data.period()
         except (ParameterError, SimulationError):

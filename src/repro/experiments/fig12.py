@@ -16,7 +16,7 @@ from ..analysis.currents import current_density_report
 from ..analysis.reliability import assess_current_density
 from ..tech.node import get_node
 from .base import ExperimentResult, experiment
-from .ring import DEFAULT_RING_SEGMENTS, run_ring
+from .ring import DEFAULT_RING_SEGMENTS, run_ring_sweep
 
 #: Default inductance sweep (nH/mm) — below the false-switching onset the
 #: paper's Fig. 12 x-axis spans, plus points above it.
@@ -36,10 +36,10 @@ def run(node_name: str = "100nm",
                "reliability ok"]
     rows = []
     reports = []
-    for l_nh in l_values:
-        run_data = run_ring(node_name, float(l_nh), segments=segments,
-                            style=style, period_budget=period_budget,
-                            steps_per_period=steps_per_period)
+    runs = run_ring_sweep(node_name, l_values, segments=segments,
+                          style=style, period_budget=period_budget,
+                          steps_per_period=steps_per_period)
+    for l_nh, run_data in zip(l_values, runs):
         ladder = run_data.oscillator.ladders[run_data.probe_stage]
         report = current_density_report(run_data.result, ladder, area)
         verdict = assess_current_density(report)

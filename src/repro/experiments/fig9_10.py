@@ -14,7 +14,7 @@ from .. import units
 from ..errors import ParameterError, SimulationError
 from ..tech.node import get_node
 from .base import ExperimentResult, experiment
-from .ring import DEFAULT_RING_SEGMENTS, run_ring
+from .ring import DEFAULT_RING_SEGMENTS, run_ring_sweep
 
 #: The paper's two illustrated inductance values (nH/mm).
 PAPER_L_VALUES = (1.8, 2.2)
@@ -33,10 +33,10 @@ def run(node_name: str = "100nm", l_values=PAPER_L_VALUES,
                "output undershoot (V)"]
     rows = []
     data: dict = {"node": node_name, "vdd": vdd}
-    for l_nh in l_values:
-        run_data = run_ring(node_name, float(l_nh), segments=segments,
-                            style=style, period_budget=period_budget,
-                            steps_per_period=steps_per_period)
+    runs = run_ring_sweep(node_name, l_values, segments=segments,
+                          style=style, period_budget=period_budget,
+                          steps_per_period=steps_per_period)
+    for l_nh, run_data in zip(l_values, runs):
         vin = run_data.input_waveform
         vout = run_data.output_waveform
         try:

@@ -32,7 +32,7 @@ from ..circuits.inverter import (InverterCalibration, add_mosfet_inverter,
                                  analytic_beta)
 from ..circuits.mosfet import DEFAULT_LAMBDA
 from ..circuits.netlist import GROUND, Circuit
-from ..circuits.transient import TransientOptions, simulate
+from ..circuits.transient import Crossing, TransientOptions, simulate
 from ..circuits.waveforms import Pulse
 from ..core.params import DriverParams
 from ..errors import ConvergenceError
@@ -122,9 +122,12 @@ def measure_falling_delay(calibration: InverterCalibration, *,
 
     t_end = delay + 10.0 * t_unit
     dt = t_unit / 100.0
+    # The run ends at the crossing it measures.
     result = simulate(circuit, t_end, dt,
                       initial_voltages={"out": vdd, "vdd": vdd},
-                      options=TransientOptions(max_update=max(1.0, vdd)))
+                      options=TransientOptions(max_update=max(1.0, vdd)),
+                      record=["out"],
+                      stop=Crossing("out", 0.5 * vdd, rising=False))
     out = Waveform(result.time, result.voltage("out"))
     crossing = out.falling_crossings(0.5 * vdd)
     if crossing.size == 0:

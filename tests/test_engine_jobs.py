@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro import (NODE_100NM, OptimizationError, OptimizerMethod, units)
+from repro import (NODE_100NM, OptimizationError, OptimizerMethod,
+                   ParameterError, units)
 from repro.engine import jobs as jobs_module
 from repro.engine.jobs import (CriticalInductanceJob, DelayJob,
                                ExperimentJob, OptimizeJob, SweepJob,
@@ -194,6 +195,30 @@ class TestTransientJob:
         assert result["input_max"] > 1.0
         assert result["oscillates"] == (result["period"] is not None)
         json.dumps(result)
+
+    @pytest.mark.parametrize("probe_stage", [7, 5, -1])
+    def test_probe_stage_outside_the_ring_is_rejected(self, probe_stage,
+                                                      monkeypatch):
+        """Rejected before any ring is built or simulated."""
+        from repro.experiments import ring
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a ring was built")
+
+        monkeypatch.setattr(ring, "build_ring_oscillator", forbidden)
+        job = TransientJob(node_name="100nm", l_nh_per_mm=1.0,
+                           probe_stage=probe_stage)
+        with pytest.raises(ParameterError, match="probe_stage"):
+            job.run()
+
+    def test_probe_stage_error_through_the_executor(self):
+        from repro.engine.executor import BatchExecutor
+        report = BatchExecutor(jobs=1).run(
+            [TransientJob(node_name="100nm", l_nh_per_mm=1.0,
+                          probe_stage=7)])
+        [outcome] = report
+        assert outcome.error_type == "ParameterError"
+        assert "probe_stage" in outcome.error
 
 
 class TestExperimentJob:

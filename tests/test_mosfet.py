@@ -133,12 +133,11 @@ class TestDeviceEvaluate:
         """Drain and source rows receive equal and opposite stamps."""
         device = nmos()
         n = 3
-        matrix = np.zeros((n, n))
-        rhs = np.zeros(n)
-        index = {"d": 0, "g": 1, "s": 2}
-        voltages = {"d": 0.6, "g": 1.2, "s": 0.0}
-        device.stamp(lambda name: voltages[name],
-                     lambda name: index[name], matrix, rhs)
+        flat = [0.0] * (n * n)
+        rhs = [0.0] * n
+        voltages = [0.6, 1.2, 0.0]          # drain, gate, source
+        device.stamp(voltages, (0, 1, 2), n, flat, rhs)
+        matrix = np.reshape(flat, (n, n))
         assert matrix[0] == pytest.approx(-matrix[2])
         assert rhs[0] == pytest.approx(-rhs[2])
         assert rhs[1] == 0.0              # gate draws no current

@@ -79,9 +79,9 @@ def dense_reference(circuit, t_end, dt, *, initial_voltages=None,
 
         x_new = x.copy()
         for _ in range(options.max_newton_iterations):
-            matrix, r = base.copy(), rhs.copy()
-            mna.stamp_nonlinear(x_new, matrix, r)
-            x_next = np.linalg.solve(matrix, r)
+            matrix, r = mna.stamp_nonlinear(x_new[None], base[None],
+                                            rhs[None])
+            x_next = np.linalg.solve(matrix[0], r[0])
             delta = x_next - x_new
             max_delta = float(np.max(np.abs(delta)))
             if max_delta > options.max_update:
