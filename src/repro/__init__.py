@@ -23,7 +23,7 @@ from . import units
 from .core import (Damping, DelayBatchResult, DelayResult,
                    DelaySensitivities, DriverParams, InductanceSweep,
                    LineParams, Moments, MomentsBatch, OptimizerMethod,
-                   PoleBatch, PolePair, RCOptimum, RCTree, RepeaterOptimum,
+                   PoleBatch, PolePair, RCOptimum, RepeaterOptimum,
                    ResponseBatch, SizedDriver, Stage, StageBatch,
                    StepResponse, canonical_response, classify_damping,
                    classify_damping_v, compute_moments, compute_moments_v,
@@ -58,7 +58,6 @@ __all__ = [
     "newton_delay", "optimize_repeater", "pade_transfer", "rc_optimum",
     "stage_delay", "stage_delay_per_length", "sweep_inductance",
     "threshold_delay", "DelaySensitivities", "delay_sensitivities",
-    "RCTree",
     # core kernels (array-first batched pipeline)
     "DelayBatchResult", "MomentsBatch", "PoleBatch", "ResponseBatch",
     "StageBatch", "classify_damping_v", "compute_moments_v",

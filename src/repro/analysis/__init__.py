@@ -14,8 +14,6 @@
 """
 
 from .crosstalk import CrosstalkReport, measure_crosstalk
-from .glitch import (GlitchReport, compare_activity, switching_rate,
-                     transition_count)
 from .currents import CurrentDensityReport, current_density_report
 from .laplace import step_response_exact, talbot_inverse
 from .power import (PowerConstrainedOptimum, PowerReport,
@@ -29,8 +27,6 @@ from .waveform import Waveform
 
 __all__ = [
     "CrosstalkReport", "measure_crosstalk",
-    "GlitchReport", "compare_activity", "switching_rate",
-    "transition_count",
     "CurrentDensityReport", "current_density_report",
     "step_response_exact", "talbot_inverse",
     "PowerConstrainedOptimum", "PowerReport", "optimize_with_power_cap",

@@ -228,12 +228,3 @@ def direct_body_walk(func: ast.AST) -> Iterator[ast.AST]:
             continue
         stack.extend(ast.iter_child_nodes(node))
 
-
-def enclosing_function(node: ast.AST) -> Optional[ast.AST]:
-    """Nearest enclosing def/async def, via the parent backlinks."""
-    current = getattr(node, "parent", None)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return current
-        current = getattr(current, "parent", None)
-    return None

@@ -8,13 +8,11 @@ linear block factored once per step size, per-step Newton on the
 nonlinear-terminal block) with automatic step halving.
 """
 
-from .ac import AcAnalysis, ac_transfer, bode_magnitude_db, find_bandwidth
 from .behavioral import SwitchInverter
 from .builders import (DEFAULT_SEGMENTS, BufferedLine, RingOscillator,
                        StageTestbench, build_buffered_line,
                        build_linear_stage, build_ring_oscillator)
-from .bus import (PATTERNS, BusBench, PatternSearchResult, build_bus_bench,
-                  initial_bus_voltages, worst_case_pattern)
+from .bus import PATTERNS, BusBench, build_bus_bench, initial_bus_voltages
 from .coupled_line import (CoupledPair, CrosstalkBench, add_coupled_pair,
                            build_crosstalk_bench)
 from .coupling import MutualInductance
@@ -30,18 +28,13 @@ from .transient import (Crossing, TransientOptions, TransientResult,
                         TransientSolver, simulate)
 from .waveforms import DC, PiecewiseLinear, Pulse, Sine, Step
 
-from .export import SpiceExport, to_spice, write_spice
-
 __all__ = [
-    "AcAnalysis", "ac_transfer", "bode_magnitude_db", "find_bandwidth",
-    "SpiceExport", "to_spice", "write_spice",
     "SwitchInverter",
     "DEFAULT_SEGMENTS", "BufferedLine", "RingOscillator", "StageTestbench",
     "build_buffered_line", "build_linear_stage", "build_ring_oscillator",
     "CoupledPair", "CrosstalkBench", "add_coupled_pair",
     "build_crosstalk_bench", "MutualInductance",
-    "PATTERNS", "BusBench", "PatternSearchResult", "build_bus_bench",
-    "initial_bus_voltages", "worst_case_pattern",
+    "PATTERNS", "BusBench", "build_bus_bench", "initial_bus_voltages",
     "Capacitor", "CurrentSource", "Element", "Inductor", "NonlinearDevice",
     "Resistor", "TwoTerminal", "VoltageSource",
     "InverterCalibration", "add_mosfet_inverter", "add_switch_inverter",

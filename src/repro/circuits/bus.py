@@ -149,75 +149,6 @@ class _FallingStep:
         return self.vdd * (1.0 - t / self.rise)
 
 
-@dataclass(frozen=True)
-class PatternSearchResult:
-    """Outcome of an exhaustive neighbour-pattern delay search."""
-
-    worst_pattern: tuple
-    worst_delay: float
-    best_pattern: tuple
-    best_delay: float
-    delays: dict
-
-    @property
-    def spread(self) -> float:
-        """worst / best victim delay across all neighbour patterns."""
-        return self.worst_delay / self.best_delay
-
-
-def worst_case_pattern(line: LineParams, *, n_lines: int, length: float,
-                       segments: int, r_driver: float, c_load: float,
-                       coupling_capacitance_per_length: float,
-                       vdd: float, inductive_coupling: float = 0.0,
-                       t_end: float, dt: float,
-                       victim_pattern: str = "up",
-                       neighbour_patterns: Sequence[str] = PATTERNS
-                       ) -> PatternSearchResult:
-    """Exhaustively search neighbour switching patterns for the victim.
-
-    The centre line carries ``victim_pattern``; every combination of the
-    allowed patterns on the other lines is simulated and the victim's 50%
-    arrival measured.  Exponential in (n_lines - 1) — intended for the
-    2-4-line buses where it is exact and cheap, exactly the regime where
-    pattern-dependence matters most (nearest neighbours dominate).
-    """
-    import itertools
-
-    from ..analysis.waveform import Waveform
-    from .transient import simulate
-
-    if victim_pattern not in ("up", "down"):
-        raise ParameterError("victim must switch: pattern 'up' or 'down'")
-    victim_index = n_lines // 2
-    neighbour_slots = [i for i in range(n_lines) if i != victim_index]
-    delays: dict = {}
-    for combo in itertools.product(neighbour_patterns,
-                                   repeat=len(neighbour_slots)):
-        patterns = [None] * n_lines
-        patterns[victim_index] = victim_pattern
-        for slot, pattern in zip(neighbour_slots, combo):
-            patterns[slot] = pattern
-        bench = build_bus_bench(
-            line, n_lines=n_lines, length=length, segments=segments,
-            r_driver=r_driver, c_load=c_load,
-            coupling_capacitance_per_length=coupling_capacitance_per_length,
-            patterns=patterns, vdd=vdd,
-            inductive_coupling=inductive_coupling)
-        result = simulate(bench.circuit, t_end, dt,
-                          initial_voltages=initial_bus_voltages(bench))
-        waveform = Waveform(result.time,
-                            result.voltage(bench.far_node(victim_index)))
-        rising = victim_pattern == "up"
-        delays[tuple(combo)] = waveform.first_crossing(
-            0.5 * vdd, rising=rising)
-    worst = max(delays, key=delays.get)
-    best = min(delays, key=delays.get)
-    return PatternSearchResult(worst_pattern=worst,
-                               worst_delay=delays[worst],
-                               best_pattern=best, best_delay=delays[best],
-                               delays=delays)
-
-
 def initial_bus_voltages(bench: BusBench) -> dict[str, float]:
     """Initial node voltages consistent with each line's pattern.
 

@@ -15,7 +15,7 @@ continuation.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+from typing import (Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 import numpy as np
@@ -146,24 +146,6 @@ class MnaStructure:
                 local[self.node_names[row]] = position
         return (np.array(t_rows, dtype=np.intp),
                 np.array(l_rows, dtype=np.intp), local)
-
-    def voltage_getter(self, x: np.ndarray,
-                       index: Optional[Mapping[str, int]] = None
-                       ) -> Callable[[str], float]:
-        """Return a node-name -> voltage lookup of vector x.
-
-        The lookup reads a copy of ``x`` taken now, as Python floats.
-        ``index`` maps node names to positions in ``x`` (ground -> -1); it
-        defaults to the full MNA map.
-        """
-        index = self._node_index if index is None else index
-        values = x.tolist()
-
-        def voltage(node: str) -> float:
-            i = index[node]
-            return 0.0 if i < 0 else values[i]
-
-        return voltage
 
     # ------------------------------------------------------------------
     # Shared stamps.

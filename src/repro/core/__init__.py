@@ -33,11 +33,6 @@ from .elmore import (RCOptimum, driver_from_rc_optimum, elmore_stage_delay,
 from .evaluate import (OptimizationTrace, ScalarSemantics, StageEvaluator,
                        TraceEvent, TraceStep, delay_per_length_grid,
                        stationarity_residuals_v)
-from .line_theory import (LineRegime, attenuation, characteristic_impedance,
-                          classify_regime, critical_length_window,
-                          lc_transition_frequency, phase_velocity,
-                          propagation_constant)
-from .staging import StagingPlan, plan_staging
 from .wire_sizing import (WireSizingResult, line_from_geometry,
                           optimize_wire_width)
 from .moments import Moments, compute_moments, moments_from_lumped
@@ -48,7 +43,6 @@ from .poles import Damping, PolePair, classify_damping, compute_poles
 from .response import StepResponse, canonical_response
 from .sensitivity import DelaySensitivities, delay_sensitivities
 from .sweep import InductanceSweep, single_optimum, sweep_inductance
-from .tree import ROOT, RCTree
 from .transfer import (exact_transfer, exact_transfer_via_abcd,
                        pade_transfer, transfer_error_at)
 
@@ -72,11 +66,6 @@ __all__ = [
     "StepResponse", "canonical_response",
     "DelaySensitivities", "delay_sensitivities",
     "InductanceSweep", "single_optimum", "sweep_inductance",
-    "ROOT", "RCTree",
-    "LineRegime", "attenuation", "characteristic_impedance",
-    "classify_regime", "critical_length_window",
-    "lc_transition_frequency", "phase_velocity", "propagation_constant",
-    "StagingPlan", "plan_staging",
     "WireSizingResult", "line_from_geometry", "optimize_wire_width",
     "exact_transfer", "exact_transfer_via_abcd", "pade_transfer",
     "transfer_error_at",

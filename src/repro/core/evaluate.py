@@ -46,6 +46,7 @@ scenario the optimizer stack produces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -284,6 +285,17 @@ def delay_per_length_grid(line_zero_l: LineParams, driver: DriverParams,
 # ----------------------------------------------------------------------
 # Optimization traces.
 # ----------------------------------------------------------------------
+def _finite(value: Any) -> Optional[float]:
+    """``value`` as a float, or ``None`` where it is NaN/inf."""
+    number = float(value)
+    return number if math.isfinite(number) else None
+
+
+def _number(value: Any) -> float:
+    """Inverse of :func:`_finite`: ``None`` reads back as NaN."""
+    return math.nan if value is None else float(value)
+
+
 @dataclass(frozen=True)
 class TraceStep:
     """One accepted optimizer iterate (iteration 0 is the seed)."""
@@ -367,16 +379,21 @@ class OptimizationTrace:
                 "memo_hits": self.memo_hits}
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe dictionary form (floats/ints/strs only)."""
+        """JSON-safe dictionary form: finite floats, ints, strs, None.
+
+        A non-finite number (the residual of a probe that solved to NaN)
+        is written as ``None``, the package's one form of an undefined
+        value, so every payload path can screen the whole result.
+        """
         return {
             "steps": [{"iteration": step.iteration,
-                       "h": float(step.h), "k": float(step.k),
-                       "g1": float(step.g1), "g2": float(step.g2),
-                       "tau": float(step.tau),
-                       "residual_norm": float(step.residual_norm),
+                       "h": _finite(step.h), "k": _finite(step.k),
+                       "g1": _finite(step.g1), "g2": _finite(step.g2),
+                       "tau": _finite(step.tau),
+                       "residual_norm": _finite(step.residual_norm),
                        "damping": step.damping,
                        "step_scale": (None if step.step_scale is None
-                                      else float(step.step_scale)),
+                                      else _finite(step.step_scale)),
                        "backtracks": step.backtracks,
                        "accepted_worse": step.accepted_worse}
                       for step in self.steps],
@@ -390,6 +407,7 @@ class OptimizationTrace:
 
     @classmethod
     def from_payload(cls, data: Dict[str, Any]) -> "OptimizationTrace":
+        """Inverse of :meth:`to_payload`; a ``None`` number reads as NaN."""
         trace = cls(lanes_evaluated=int(data.get("lanes_evaluated", 0)),
                     batch_calls=int(data.get("batch_calls", 0)),
                     memo_hits=int(data.get("memo_hits", 0)))
@@ -397,10 +415,10 @@ class OptimizationTrace:
             scale = entry.get("step_scale")
             trace.steps.append(TraceStep(
                 iteration=int(entry["iteration"]),
-                h=float(entry["h"]), k=float(entry["k"]),
-                g1=float(entry["g1"]), g2=float(entry["g2"]),
-                tau=float(entry["tau"]),
-                residual_norm=float(entry["residual_norm"]),
+                h=_number(entry["h"]), k=_number(entry["k"]),
+                g1=_number(entry["g1"]), g2=_number(entry["g2"]),
+                tau=_number(entry["tau"]),
+                residual_norm=_number(entry["residual_norm"]),
                 damping=str(entry["damping"]),
                 step_scale=None if scale is None else float(scale),
                 backtracks=int(entry.get("backtracks", 0)),
@@ -489,7 +507,7 @@ class StageEvaluator:
 
     def delay(self, h: Any, k: Any) -> float:
         """tau(h, k) alone — for objective-only callers (direct method,
-        staging/power golden sections); shares the residual memo."""
+        power golden sections); shares the residual memo."""
         return self.evaluate(h, k)[2]
 
     def prime(self, key: Tuple[float, float, bool, bool],

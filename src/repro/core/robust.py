@@ -13,92 +13,19 @@ maximum is attained at l_max, so the minimax design equals the nominal
 optimum at l_max.  What the robust framing adds is the *regret* analysis:
 how much that hedge costs when the inductance actually lands lower, and
 how it compares to the RC-blind and mid-point sizings.  This module
-computes the minimax optimum, verifies the monotonicity assumption on a
-grid (falling back to an explicit grid-minimax if it ever failed), and
-reports the worst-case regret of any candidate sizing.
+reports the worst-case delay and regret of each candidate sizing over an
+l grid; the minimax row is the one with the lowest worst-case delay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ..errors import ParameterError
-from .delay import threshold_delay
 from .evaluate import delay_per_length_grid
-from .optimize import RepeaterOptimum, optimize_repeater
-from .params import DriverParams, LineParams, Stage
-
-
-@dataclass(frozen=True)
-class RobustOptimum:
-    """Minimax repeater sizing over an inductance interval."""
-
-    h_opt: float
-    k_opt: float
-    l_min: float
-    l_max: float
-    worst_delay_per_length: float      #: the minimax objective value
-    worst_case_l: float                #: arg max of the inner problem
-    nominal_at_lmax: RepeaterOptimum   #: the anchoring nominal optimum
-
-    def delay_per_length_at(self, line_zero_l: LineParams,
-                            driver: DriverParams, l: float,
-                            f: float = 0.5) -> float:
-        """Objective of this sizing at a specific inductance."""
-        stage = Stage(line=line_zero_l.with_inductance(l), driver=driver,
-                      h=self.h_opt, k=self.k_opt)
-        return threshold_delay(stage, f, polish_with_newton=False).tau \
-            / self.h_opt
-
-
-def worst_case_delay_per_length(line_zero_l: LineParams,
-                                driver: DriverParams, h: float, k: float,
-                                l_grid: Sequence[float], f: float = 0.5
-                                ) -> tuple[float, float]:
-    """(max objective, argmax l) of a fixed sizing over an l grid.
-
-    The grid is evaluated as one kernel batch
-    (:func:`repro.core.evaluate.delay_per_length_grid`); each lane is
-    bitwise identical to the scalar per-point solve this used to run, so
-    the (max, argmax) pair is unchanged (first strict maximum wins).
-    """
-    values = delay_per_length_grid(line_zero_l, driver, l_grid, h, k, f)
-    worst = -1.0
-    worst_l = float(l_grid[0])
-    for i, l in enumerate(l_grid):
-        value = values[i]
-        if value > worst:
-            worst = value
-            worst_l = float(l)
-    return worst, worst_l
-
-
-def optimize_robust(line_zero_l: LineParams, driver: DriverParams, *,
-                    l_min: float, l_max: float, f: float = 0.5,
-                    grid_points: int = 7) -> RobustOptimum:
-    """Minimax sizing over l in [l_min, l_max].
-
-    Exploits the monotonicity of tau in l: the minimax design is the
-    nominal optimum at l_max.  The monotonicity is *checked* on a grid
-    for the returned sizing; if it ever failed (it does not for physical
-    parameters), the reported worst case would simply move to the true
-    grid argmax, keeping the result honest.
-    """
-    if l_min < 0.0 or l_max <= l_min:
-        raise ParameterError(
-            f"need 0 <= l_min < l_max, got [{l_min}, {l_max}]")
-    nominal = optimize_repeater(line_zero_l.with_inductance(l_max), driver,
-                                f)
-    grid = np.linspace(l_min, l_max, grid_points)
-    worst, worst_l = worst_case_delay_per_length(
-        line_zero_l, driver, nominal.h_opt, nominal.k_opt, grid, f)
-    return RobustOptimum(h_opt=nominal.h_opt, k_opt=nominal.k_opt,
-                         l_min=l_min, l_max=l_max,
-                         worst_delay_per_length=worst, worst_case_l=worst_l,
-                         nominal_at_lmax=nominal)
+from .optimize import optimize_repeater
+from .params import DriverParams, LineParams
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def _execute_job(job: Any) -> Dict[str, Any]:
                 "error_type": type(exc).__name__,
                 "traceback": traceback.format_exc(),
                 "wall_time": time.perf_counter() - start}
-    bad = nonfinite_path(result, "result", skip="trace")
+    bad = nonfinite_path(result, "result")
     if bad is not None:
         return {"ok": False,
                 "error": f"job produced a non-finite value at {bad} "

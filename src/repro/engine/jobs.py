@@ -81,31 +81,26 @@ def jsonify(obj: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(obj).__name__}: {obj!r}")
 
 
-def nonfinite_path(value: Any, path: str = "", *,
-                   skip: Optional[str] = None) -> Optional[str]:
+def nonfinite_path(value: Any, path: str = "") -> Optional[str]:
     """Dotted path of the first non-finite number in ``value``, or ``None``.
 
     The one screen for NaN/inf on every payload path: engine job
-    results, served lanes and request documents.  No electrical
-    parameter or answer is legitimately non-finite, and strict JSON
-    cannot carry one; an undefined value is ``None``.  Dict entries
-    named ``skip`` are not walked — the engine passes ``"trace"``,
-    because an optimizer trace records the non-finite residuals of
-    rejected probe steps.
+    results, served lanes and request documents, each walked whole.  No
+    electrical parameter or answer is legitimately non-finite, and
+    strict JSON cannot carry one; an undefined value is ``None`` (an
+    optimizer trace writes a probe's NaN residual that way).
     """
     if isinstance(value, float):
         return None if math.isfinite(value) else path
     if isinstance(value, dict):
         for key, item in value.items():
-            if key == skip:
-                continue
             found = nonfinite_path(item, f"{path}.{key}" if path
-                                   else str(key), skip=skip)
+                                   else str(key))
             if found is not None:
                 return found
     elif isinstance(value, (list, tuple)):
         for index, item in enumerate(value):
-            found = nonfinite_path(item, f"{path}[{index}]", skip=skip)
+            found = nonfinite_path(item, f"{path}[{index}]")
             if found is not None:
                 return found
     return None

@@ -21,7 +21,8 @@ plus extension experiments following up the paper's unquantified remarks:
 ``ext_crosstalk`` (RC vs RLC coupled noise), ``ext_bus`` (capacitive vs
 inductive Miller inversion), ``ext_miller`` (optimum vs neighbour
 activity), ``ext_skin`` (r(f)), ``ext_power`` (power-capped insertion),
-``ext_sensitivity`` (delay elasticities), ``ext_robust`` (minimax sizing).
+``ext_sensitivity`` (delay elasticities), ``ext_robust`` (minimax sizing),
+``ext_refit`` (the Ismail-Friedman form refitted per node).
 
 Use :func:`repro.experiments.run_experiment` or the ``repro-experiments``
 CLI (:mod:`repro.experiments.runner`).

@@ -59,22 +59,17 @@ from .protocol import (REQUEST_JOB_TYPES, DeadlineExceededError, ServeError,
 # ----------------------------------------------------------------------
 # Batch evaluators (blocking; run on an executor thread).
 # ----------------------------------------------------------------------
-def _solo_envelope(job: Any, *, screen: bool = False) -> Dict[str, Any]:
+def _solo_envelope(job: Any) -> Dict[str, Any]:
     """Evaluate one job through its own ``run()`` with fault isolation.
 
-    With ``screen`` true the result is additionally rejected if it
-    contains non-finite numbers (the delay/critical kinds, whose
-    payloads are always finite when healthy).  Optimize payloads are
-    not screened: a *successful* optimum is finite where it matters,
-    but its trace may legitimately record non-finite residuals from
-    rejected probe steps.
+    The result takes the same non-finite screen as every batched lane.
     """
     try:
         envelope = {"ok": True, "result": job.run()}
     except Exception as exc:  # noqa: BLE001 — isolate any lane failure
         return {"ok": False, "error": str(exc),
                 "error_type": type(exc).__name__}
-    return _screened(envelope) if screen else envelope
+    return _screened(envelope)
 
 
 def _screened(envelope: Dict[str, Any]) -> Dict[str, Any]:
@@ -116,12 +111,12 @@ def evaluate_delay_batch(jobs: Sequence[Any]) -> List[Dict[str, Any]]:
     its solo scalar path so only the offending request fails.
     """
     if len(jobs) == 1:
-        return [_solo_envelope(jobs[0], screen=True)]
+        return [_solo_envelope(jobs[0])]
     try:
         solved = threshold_delay_v(_stage_batch(jobs),
                                    [job.f for job in jobs])
     except Exception:  # noqa: BLE001 — isolate per lane via solo path
-        return [_solo_envelope(job, screen=True) for job in jobs]
+        return [_solo_envelope(job) for job in jobs]
     damping = solved.damping_values()
     envelopes: List[Dict[str, Any]] = []
     for i, job in enumerate(jobs):
@@ -145,11 +140,11 @@ def evaluate_critical_inductance_batch(jobs: Sequence[Any]
     graph.
     """
     if len(jobs) == 1:
-        return [_solo_envelope(jobs[0], screen=True)]
+        return [_solo_envelope(jobs[0])]
     try:
         l_crit = critical_inductance_v(_stage_batch(jobs))
     except Exception:  # noqa: BLE001 — isolate per lane via solo path
-        return [_solo_envelope(job, screen=True) for job in jobs]
+        return [_solo_envelope(job) for job in jobs]
     envelopes: List[Dict[str, Any]] = []
     for i, job in enumerate(jobs):
         lc = float(l_crit[i])
@@ -201,7 +196,7 @@ def evaluate_optimize_batch(jobs: Sequence[Any]) -> List[Dict[str, Any]]:
                 envelopes[i] = {"ok": False, "error": str(result),
                                 "error_type": type(result).__name__}
             else:
-                envelopes[i] = {"ok": True, "result": result}
+                envelopes[i] = _screened({"ok": True, "result": result})
     assert all(envelope is not None for envelope in envelopes)
     return envelopes  # type: ignore[return-value]
 

@@ -12,7 +12,8 @@ class TestFramework:
         paper = {"table1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8",
                  "fig9_10", "fig11", "fig12"}
         extensions = {"ext_crosstalk", "ext_miller", "ext_skin", "ext_power",
-                      "ext_sensitivity", "ext_bus", "ext_robust"}
+                      "ext_sensitivity", "ext_bus", "ext_robust",
+                      "ext_refit"}
         assert set(all_experiment_ids()) == paper | extensions
         assert set(DESCRIPTIONS) == paper | extensions
 
@@ -87,6 +88,7 @@ class TestThroughEngine:
         "ext_skin": {"frequencies": (1e9, 1e10)},
         "ext_power": {"budget_fractions": (1.0, 0.8)},
         "ext_sensitivity": {},
+        "ext_refit": {"points": 4},
     }
 
     def test_every_experiment_succeeds_through_the_engine(self):

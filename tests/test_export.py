@@ -1,109 +1,7 @@
-"""Unit tests for the SPICE and CSV exporters."""
+"""Unit tests for the CSV exporter of experiment tables."""
 
-import pytest
-
-from repro import NODE_100NM, Stage, rc_optimum, units
-from repro.circuits import Circuit, GROUND, Pulse, Sine, Step
-from repro.circuits.export import to_spice, write_spice
 from repro.experiments.base import ExperimentResult
 from repro.experiments.export import result_to_csv, write_csv
-
-
-def sample_circuit():
-    circuit = Circuit("export-sample")
-    circuit.voltage_source("VIN", "in", GROUND, Step(level=1.2, delay=1e-10,
-                                                     rise=1e-11))
-    circuit.resistor("RS", "in", "mid", 123.4)
-    circuit.inductor("L1", "mid", "out", 2e-9, initial_current=1e-3)
-    circuit.inductor("L2", "out", GROUND, 2e-9)
-    circuit.mutual("K1", "L1", "L2", 0.4)
-    circuit.capacitor("CL", "out", GROUND, 5e-13, initial_voltage=0.3)
-    return circuit
-
-
-class TestSpiceExport:
-    def test_basic_cards(self):
-        export = to_spice(sample_circuit())
-        text = export.text
-        assert text.startswith("* export-sample")
-        assert "RS in mid 123.4" in text
-        assert "L1 mid out 2e-09 IC=0.001" in text
-        assert "K1 L1 L2 0.4" in text
-        assert "CL out 0 5e-13 IC=0.3" in text
-        assert text.rstrip().endswith(".end")
-        assert export.unsupported == []
-
-    def test_step_becomes_pwl(self):
-        text = to_spice(sample_circuit()).text
-        assert "PWL(0 0 1e-10 0 1.1e-10 1.2)" in text
-
-    def test_pulse_and_sine_sources(self):
-        circuit = Circuit()
-        circuit.voltage_source("V1", "a", GROUND,
-                               Pulse(v1=0, v2=1, delay=1e-9, rise=1e-11,
-                                     fall=1e-11, width=4e-10, period=1e-9))
-        circuit.current_source("I1", "a", GROUND,
-                               Sine(offset=0.0, amplitude=1e-3,
-                                    frequency=1e9))
-        circuit.resistor("R1", "a", GROUND, 50.0)
-        text = to_spice(circuit).text
-        assert "PULSE(0 1 1e-09 1e-11 1e-11 4e-10 1e-09)" in text
-        assert "SIN(0 0.001 1e+09 0)" in text
-
-    def test_mosfet_model_cards(self):
-        from repro.tech import calibrate_inverter
-        from repro.circuits import add_mosfet_inverter
-        circuit = Circuit()
-        circuit.voltage_source("VDD", "vdd", GROUND, 1.2)
-        calibration = calibrate_inverter(NODE_100NM)
-        add_mosfet_inverter(circuit, "inv", "a", "b", "vdd", calibration)
-        circuit.capacitor("CL", "b", GROUND, 1e-14)
-        circuit.voltage_source("VIN", "a", GROUND, 0.0)
-        text = to_spice(circuit).text
-        assert ".model" in text
-        assert "nmos" in text and "pmos" in text
-        assert "Minv_MN" in text
-
-    def test_dotted_names_sanitized(self):
-        circuit = Circuit()
-        circuit.resistor("w.R1", "n.1", GROUND, 10.0)
-        circuit.resistor("w.R2", "n.1", GROUND, 10.0)
-        text = to_spice(circuit).text
-        assert "Rw_R1 n_1 0 10" in text
-
-    def test_behavioral_inverter_reported_unsupported(self):
-        from repro.circuits import SwitchInverter
-        circuit = Circuit()
-        circuit.add(SwitchInverter(name="inv", input_node="a",
-                                   output_node="b", vdd=1.2, threshold=0.6,
-                                   r_out=100.0, width=0.02))
-        circuit.capacitor("C1", "a", GROUND, 1e-14)
-        circuit.capacitor("C2", "b", GROUND, 1e-14)
-        export = to_spice(circuit)
-        assert export.unsupported == ["inv"]
-        assert "* unsupported behavioral inverter" in export.text
-
-    def test_tran_card(self):
-        text = to_spice(sample_circuit(), t_end=1e-9, dt=1e-12).text
-        assert ".tran 1e-12 1e-09 UIC" in text
-
-    def test_write_to_file(self, tmp_path):
-        path = tmp_path / "deck.sp"
-        export = write_spice(sample_circuit(), str(path))
-        assert path.read_text() == export.text
-
-    def test_real_stage_exports_cleanly(self):
-        from repro.circuits import build_linear_stage
-        node = NODE_100NM
-        rc = rc_optimum(node.line, node.driver)
-        line = node.line_with_inductance(1.0 * units.NH_PER_MM)
-        stage = Stage(line=line, driver=node.driver,
-                      h=rc.h_opt, k=rc.k_opt)
-        bench = build_linear_stage(stage, segments=8)
-        export = to_spice(bench.circuit, t_end=1e-9, dt=1e-12)
-        assert export.unsupported == []
-        # 8 R, 8 L, 8 line C + CP + CL, 1 source.
-        assert export.text.count("\nR") == 9   # RS + 8 ladder resistors
 
 
 class TestCsvExport:

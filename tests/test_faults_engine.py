@@ -7,13 +7,15 @@ real failures (a worker process that dies mid-chunk) and injected ones
 promises — not just that something raised.
 """
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict
 
 import pytest
 
-from repro import NODE_100NM, OptimizerMethod, units
+from repro import NODE_100NM, OptimizationTrace, OptimizerMethod, units
+from repro.core.evaluate import TraceStep
 from repro.engine.executor import BatchExecutor
 from repro.engine.jobs import DelayJob, OptimizeJob, nonfinite_path
 from repro.engine.store import DiskStore
@@ -131,11 +133,22 @@ class TestNonFiniteScreen:
         assert nonfinite_path({"a": float("inf")}, "result") == "result.a"
         assert nonfinite_path({"a": 1.0, "b": None}, "result") is None
 
-    def test_trace_subtree_is_exempt(self):
-        payload = {"h_opt": 1.0,
-                   "trace": {"residuals": [float("inf"), 1e-3]}}
-        assert nonfinite_path(payload, "result", skip="trace") is None
-        assert nonfinite_path(payload) == "trace.residuals[0]"
+    def test_trace_writes_nonfinite_as_none(self):
+        """A probe's NaN residual is an undefined value: ``None`` in the
+        payload, so the whole result passes the one screen."""
+        nan = float("nan")
+        trace = OptimizationTrace(steps=[TraceStep(
+            iteration=0, h=0.01, k=150.0, g1=nan, g2=float("inf"),
+            tau=1e-10, residual_norm=nan, damping="underdamped",
+            step_scale=None, backtracks=0, accepted_worse=False)])
+        payload = trace.to_payload()
+        step = payload["steps"][0]
+        assert step["g1"] is None and step["g2"] is None
+        assert step["residual_norm"] is None and step["h"] == 0.01
+        assert nonfinite_path(payload) is None
+        clone = OptimizationTrace.from_payload(payload)
+        assert math.isnan(clone.steps[0].g1)
+        assert clone.to_payload() == payload
 
     def test_nan_result_is_a_failure_not_a_cached_success(self, tmp_path):
         """A solver escape (injected NaN lane) must never be cached."""
@@ -150,6 +163,23 @@ class TestNonFiniteScreen:
         assert outcome.error_type == "DelaySolverError"
         assert "non-finite" in outcome.error
         assert cache.get(job) is None
+
+    def test_nan_probe_in_optimize_trace_is_cached_as_none(self, tmp_path):
+        """An optimum whose trace records a NaN probe is a success whose
+        trace holds ``None``; the strict-JSON store accepts it."""
+        job = OptimizeJob(line=NODE_100NM.line_with_inductance(1.5 * NH),
+                          driver=NODE_100NM.driver)
+        plan = FaultPlan(rules=[
+            FaultRule(site="kernels.threshold_delay.nan_lane",
+                      mode="nth", n=1)])
+        cache = DiskStore(tmp_path)
+        with hooks.active(plan):
+            outcome = BatchExecutor(jobs=1, cache=cache).run_one(job)
+        assert outcome.ok, outcome.error
+        steps = outcome.result["trace"]["steps"]
+        assert any(value is None for step in steps
+                   for value in step.values())
+        assert cache.get(job) == outcome.result
 
     def test_cache_put_failure_does_not_fail_the_job(self, tmp_path):
         job = _delay_jobs(2)[1]

@@ -221,3 +221,20 @@ FaultedServerMachine.TestCase.settings = settings(
 )
 
 TestFaultedServer = FaultedServerMachine.TestCase
+
+
+def test_nan_probe_in_served_optimize_trace():
+    """A run the machine found, driven by hand: stateful machines take
+    no ``@example``.  One optimize lane's trace records a NaN probe;
+    the lane must still be answered and cached, so the connection
+    handler survives and ``/metrics`` reconciles."""
+    machine = FaultedServerMachine()
+    try:
+        machine.start_server(seed=0)
+        machine.arm_fault(site="kernels.threshold_delay.nan_lane",
+                          mode="nth", n=1, p=0.5)
+        machine.send_burst(kind="optimize", count=2)
+        machine.scrape_metrics()
+        machine.server_thread_alive()
+    finally:
+        machine.teardown()

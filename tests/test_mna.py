@@ -59,18 +59,6 @@ class TestStructure:
         for node in ("vdd", "in", "out"):
             assert t_rows[local[node]] == index(node)
 
-    def test_voltage_getter(self):
-        import numpy as np
-        circuit = Circuit()
-        circuit.resistor("R1", "a", "b", 1.0)
-        circuit.resistor("R2", "b", GROUND, 1.0)
-        structure = MnaStructure(circuit)
-        x = np.array([2.0, 1.0])
-        voltages = structure.voltage_getter(x)
-        assert voltages("a") == 2.0
-        assert voltages("b") == 1.0
-        assert voltages(GROUND) == 0.0
-
 
 class TestDcOperatingPoint:
     def test_resistive_divider(self):

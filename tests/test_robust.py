@@ -1,12 +1,9 @@
 """Unit tests for the minimax (robust) repeater sizing."""
 
-import numpy as np
 import pytest
 
-from repro import Stage, optimize_repeater, threshold_delay, units
-from repro.core.robust import (optimize_robust, regret_analysis,
-                               worst_case_delay_per_length)
-from repro.errors import ParameterError
+from repro import Stage, threshold_delay, units
+from repro.core.robust import regret_analysis
 
 
 L_MIN = 0.2 * units.NH_PER_MM
@@ -24,42 +21,6 @@ class TestMonotonicity:
             taus.append(threshold_delay(stage,
                                         polish_with_newton=False).tau)
         assert taus == sorted(taus)
-
-
-class TestRobustOptimum:
-    def test_worst_case_at_lmax(self, node):
-        robust = optimize_robust(node.line, node.driver,
-                                 l_min=L_MIN, l_max=L_MAX)
-        assert robust.worst_case_l == pytest.approx(L_MAX)
-        assert robust.h_opt == robust.nominal_at_lmax.h_opt
-
-    def test_minimax_beats_other_sizings_at_worst_case(self, node):
-        """No other candidate sizing has a lower worst-case objective."""
-        robust = optimize_robust(node.line, node.driver,
-                                 l_min=L_MIN, l_max=L_MAX)
-        grid = np.linspace(L_MIN, L_MAX, 5)
-        for l_design in (L_MIN, 0.5 * (L_MIN + L_MAX)):
-            other = optimize_repeater(
-                node.line.with_inductance(l_design), node.driver)
-            worst_other, _ = worst_case_delay_per_length(
-                node.line, node.driver, other.h_opt, other.k_opt, grid)
-            assert worst_other >= robust.worst_delay_per_length \
-                * (1.0 - 1e-9)
-
-    def test_delay_at_helper(self, node):
-        robust = optimize_robust(node.line, node.driver,
-                                 l_min=L_MIN, l_max=L_MAX)
-        at_max = robust.delay_per_length_at(node.line, node.driver, L_MAX)
-        assert at_max == pytest.approx(robust.worst_delay_per_length,
-                                       rel=1e-6)
-        assert robust.delay_per_length_at(node.line, node.driver,
-                                          L_MIN) < at_max
-
-    def test_validation(self, node):
-        with pytest.raises(ParameterError):
-            optimize_robust(node.line, node.driver, l_min=-1.0, l_max=1e-6)
-        with pytest.raises(ParameterError):
-            optimize_robust(node.line, node.driver, l_min=1e-6, l_max=1e-6)
 
 
 class TestRegret:
