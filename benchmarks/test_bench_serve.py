@@ -27,7 +27,7 @@ from repro.serve.bench import (build_delay_jobs, run_benchmark,
 N_REQUESTS = 256
 
 #: Conservative floor on the micro-batching speedup; warm measurements
-#: sit around 6-9x, so a loaded CI box cannot flake the suite.
+#: sit around 7-10x, so a loaded CI box cannot flake the suite.
 MIN_SPEEDUP = 3.0
 
 

@@ -41,7 +41,9 @@ product below is spelled out componentwise (:func:`_cmul`).
 line/driver parameters and the (h, k) iterates — e.g. a sweep warm start
 carries ``np.float64`` optima into the next point's first evaluation —
 so batched evaluation reproduces the scalar bits in every mixed-type
-scenario the optimizer stack produces.
+scenario the optimizer stack produces.  The line and driver are frozen,
+so their taint is derived once per evaluator; each evaluation inspects
+only its (h, k) operands.
 """
 
 from __future__ import annotations
@@ -453,6 +455,10 @@ class StageEvaluator:
         self.line = line
         self.driver = driver
         self.f = f
+        # The line and driver are frozen, so their taint is derived once:
+        # a numpy (h, k) operand taints both moments whatever they hold.
+        self._semantics = (ScalarSemantics.for_values(line, driver, (), ()),
+                           ScalarSemantics(numpy_b1=True, numpy_db2=True))
         self._memo: Dict[Tuple[float, float, bool, bool],
                          Tuple[float, float, float, int]] = {}
         self.lanes_evaluated = 0
@@ -462,10 +468,14 @@ class StageEvaluator:
     # -- semantics ------------------------------------------------------
     def semantics_for(self, pairs: Sequence[Tuple[Any, Any]]
                       ) -> ScalarSemantics:
-        """The scalar flavour these (h, k) operand types would select."""
-        return ScalarSemantics.for_values(
-            self.line, self.driver,
-            (pair[0] for pair in pairs), (pair[1] for pair in pairs))
+        """The scalar flavour these (h, k) operand types would select.
+
+        Equal to ``ScalarSemantics.for_values(line, driver, hs, ks)``;
+        only the (h, k) operands are inspected per call.
+        """
+        return self._semantics[any(
+            isinstance(pair[0], np.generic) or isinstance(pair[1], np.generic)
+            for pair in pairs)]
 
     def _key(self, h: Any, k: Any, semantics: ScalarSemantics
              ) -> Tuple[float, float, bool, bool]:

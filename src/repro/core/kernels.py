@@ -51,8 +51,15 @@ GRID_PER_TIMESCALE = 64
 #: Hard cap on the bracket search horizon, in units of the slow time scale.
 MAX_HORIZON_FACTOR = 400.0
 
-#: Grid points evaluated per bracketing round (per active lane).
+#: Grid points per bracketing round (per active lane), evaluated as
+#: :data:`BRACKET_SUBBLOCK` samples and then the rest.
 BRACKET_CHUNK = 512
+
+#: Samples in a round's first sub-block: two fast time scales.  A
+#: two-pole 50% crossing at the paper's sizings lies within two time
+#: scales, so nearly every lane stops after this sub-block; a lane that
+#: misses it evaluates the rest of the round in one more call.
+BRACKET_SUBBLOCK = 2 * GRID_PER_TIMESCALE
 
 #: Poles closer (relatively) than this are treated as coincident.
 COINCIDENT_RTOL = 1e-9
@@ -487,7 +494,11 @@ def _bracket_first_crossing_v(resp: ResponseBatch, lanes: np.ndarray,
     Mirrors the legacy scalar hunt exactly — per-lane step
     ``fast / GRID_PER_TIMESCALE``, 512-sample chunks, step doubling far
     past the slow time scale — but advances every active lane per round,
-    so lane ``i`` samples the identical grid the scalar path would.
+    so lane ``i`` samples the identical grid the scalar path would.  A
+    round evaluates its chunk in sub-blocks (:data:`BRACKET_SUBBLOCK`
+    samples, then the rest) and a lane stops at the sub-block holding
+    its first crossing; every sample is the same ``t_start + dt * step``
+    either way, so the brackets do not depend on the split.
     Returns ``(t_lo, t_hi)`` aligned with ``lanes``.
     """
     s1 = resp.s1[lanes]
@@ -503,27 +514,34 @@ def _bracket_first_crossing_v(resp: ResponseBatch, lanes: np.ndarray,
     t_lo = np.zeros(m)
     t_hi = np.zeros(m)
     t_start = np.zeros(m)
+    t_last = np.zeros(m)    # the last time sampled, per lane
     v_last = np.zeros(m)
     fb = f[lanes]
     steps = np.arange(1, BRACKET_CHUNK + 1, dtype=float)
+    subblocks = (steps[:BRACKET_SUBBLOCK], steps[BRACKET_SUBBLOCK:])
     active = np.arange(m)
     while active.size:
-        t = t_start[active][:, None] + dt[active][:, None] * steps
-        v = two_pole_values(s1[active][:, None], s2[active][:, None], t)
-        above = v >= fb[active][:, None]
-        hit = above.any(axis=1)
-        if hit.any():
-            rows = np.nonzero(hit)[0]
-            cols = above[rows].argmax(axis=1)
-            found = active[rows]
-            t_hi[found] = t[rows, cols]
-            t_lo[found] = np.where(cols > 0,
-                                   t[rows, np.maximum(cols - 1, 0)],
-                                   t_start[found])
-        miss = np.nonzero(~hit)[0]
-        adv = active[miss]
-        t_start[adv] = t[miss, -1]
-        v_last[adv] = v[miss, -1]
+        adv = active
+        for block in subblocks:
+            t = t_start[adv][:, None] + dt[adv][:, None] * block
+            v = two_pole_values(s1[adv][:, None], s2[adv][:, None], t)
+            above = v >= fb[adv][:, None]
+            hit = above.any(axis=1)
+            if hit.any():
+                rows = np.nonzero(hit)[0]
+                cols = above[rows].argmax(axis=1)
+                found = adv[rows]
+                t_hi[found] = t[rows, cols]
+                t_lo[found] = np.where(cols > 0,
+                                       t[rows, np.maximum(cols - 1, 0)],
+                                       t_last[found])
+            miss = np.nonzero(~hit)[0]
+            adv = adv[miss]
+            t_last[adv] = t[miss, -1]
+            v_last[adv] = v[miss, -1]
+            if not adv.size:
+                break
+        t_start[adv] = t_last[adv]
         # Far beyond the slow time scale the response is monotone within
         # (1 - f); stretch the step to reach the asymptote faster.
         dt[adv] = np.where(t_start[adv] > 10.0 * slow[adv],
@@ -650,7 +668,7 @@ def threshold_delay_v(source, f=0.5, *, rtol: float = 1e-12
         raise ParameterError(
             f"threshold array shape {f_arr.shape} does not match batch "
             f"size {n}")
-    bad = (f_arr < 0.0) | (f_arr >= 1.0)
+    bad = ~((f_arr >= 0.0) & (f_arr < 1.0))    # NaN lanes are bad too
     if np.any(bad):
         lane = int(np.nonzero(bad)[0][0])
         raise ParameterError(

@@ -165,6 +165,24 @@ class TestStageEvaluator:
             [0.01], [100.0])
         assert not sem_l.numpy_b1 and sem_l.numpy_db2
 
+    @pytest.mark.parametrize("tainted", [None, "r", "l", "c", "r_s", "c_p",
+                                         "c_0", "h", "k"])
+    def test_hoisted_taint_matches_for_values(self, tainted):
+        values = {"r": 25e3, "l": 1e-6, "c": 1.5e-10, "r_s": 30e3,
+                  "c_p": 1e-14, "c_0": 1e-15, "h": 0.01, "k": 100.0}
+        if tainted is not None:
+            values[tainted] = np.float64(values[tainted])
+        line = LineParams(r=values["r"], l=values["l"], c=values["c"])
+        driver = DriverParams(r_s=values["r_s"], c_p=values["c_p"],
+                              c_0=values["c_0"])
+        evaluator = StageEvaluator(line, driver, 0.5)
+        pairs = [(0.012, 300.0), (values["h"], values["k"])]
+        for chosen in (pairs, pairs[:1], pairs[1:]):
+            assert evaluator.semantics_for(chosen) \
+                == ScalarSemantics.for_values(
+                    line, driver, [h for h, _ in chosen],
+                    [k for _, k in chosen]), chosen
+
     def test_batched_residuals_lane_values(self):
         node = NODE_100NM
         line = _line_at(node, 1.0)

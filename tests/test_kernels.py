@@ -172,11 +172,13 @@ class TestThresholdDelayBitwise:
             scalar = threshold_delay(stage, f[i], polish_with_newton=False)
             assert solved.tau[i] == scalar.tau, i
 
-    def test_invalid_threshold_names_lane(self, mixed_batch):
+    @pytest.mark.parametrize("bad", [1.0, -0.1, float("nan")])
+    def test_invalid_threshold_names_lane(self, mixed_batch, bad):
         _, batch = mixed_batch
         f = np.full(len(batch), 0.5)
-        f[2] = 1.0
-        with pytest.raises(ParameterError, match="lane 2"):
+        f[2] = bad
+        with pytest.raises(ParameterError,
+                           match=r"must be in \[0, 1\).*lane 2"):
             threshold_delay_v(batch, f)
 
     def test_threshold_shape_mismatch_rejected(self, mixed_batch):
