@@ -11,15 +11,13 @@ basin) and collects all derived quantities the figures need:
 * l_crit evaluated at the RLC optimum          (Fig. 4)
 * delay of the *RC-sized* stage at each l      (Fig. 8)
 
-Each sweep point is submitted through the batch engine
-(:mod:`repro.engine`) as one ``OptimizeJob``; the derived columns are
-array-first: l_crit is one :func:`repro.core.kernels.critical_inductance_v`
-call and the RC-sized delay column is one ``BatchDelayJob`` (a single
-cache entry covering all n points).  The default backend is the serial
-in-process executor, which preserves the warm-start chain (point i seeds
-point i+1, so the evaluation order is inherently sequential) and bitwise
-determinism; passing an executor with a result cache makes repeated
-sweeps replay from disk.
+Each sweep point runs as one :class:`repro.engine.jobs.OptimizeJob`,
+warm-started from the previous optimum (so the points run in order), with
+that job's one RC re-seed retry.  The derived columns are array-first:
+l_crit is one :func:`repro.core.kernels.critical_inductance_v` call and
+the RC-sized delay column one :func:`repro.core.kernels.threshold_delay_v`
+call.  A sweep runs in-process; run it as a ``SweepJob`` through the
+batch engine to cache it.
 """
 
 from __future__ import annotations
@@ -29,9 +27,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import OptimizationError
+from ..errors import DelaySolverError, OptimizationError
 from .elmore import RCOptimum, rc_optimum
-from .kernels import StageBatch, critical_inductance_v
+from .kernels import StageBatch, critical_inductance_v, threshold_delay_v
 from .optimize import OptimizerMethod, RepeaterOptimum, optimize_repeater
 from .params import DriverParams, LineParams
 
@@ -135,8 +133,8 @@ class InductanceSweep:
 
 def sweep_inductance(line_zero_l: LineParams, driver: DriverParams,
                      l_values, f: float = 0.5, *,
-                     method: OptimizerMethod = OptimizerMethod.AUTO,
-                     executor=None) -> InductanceSweep:
+                     method: OptimizerMethod = OptimizerMethod.AUTO
+                     ) -> InductanceSweep:
     """Run the repeater optimizer for each inductance in ``l_values``.
 
     Parameters
@@ -151,22 +149,15 @@ def sweep_inductance(line_zero_l: LineParams, driver: DriverParams,
         for effective warm starting.
     f:
         Delay threshold fraction.
-    executor:
-        Optional :class:`repro.engine.executor.BatchExecutor` the per-point
-        jobs are submitted through.  Defaults to a fresh serial in-process
-        executor (no cache); attach a cached executor to make repeated
-        sweeps replay from disk.  Because each point warm-starts the next,
-        points are submitted one at a time regardless of the executor's
-        worker count.
+
+    A point that fails, or whose optimum holds a non-finite number,
+    raises :class:`OptimizationError` naming the point.
     """
-    from ..engine.executor import BatchExecutor
-    from ..engine.jobs import BatchDelayJob, OptimizeJob
+    from ..engine.jobs import OptimizeJob, nonfinite_path
 
     l_array = np.asarray(list(l_values), dtype=float)
     if l_array.size == 0:
         raise ValueError("l_values must be non-empty")
-    if executor is None:
-        executor = BatchExecutor(jobs=1)
 
     rc_ref = rc_optimum(line_zero_l, driver)
     n = l_array.size
@@ -180,16 +171,19 @@ def sweep_inductance(line_zero_l: LineParams, driver: DriverParams,
     warm_start = (rc_ref.h_opt, rc_ref.k_opt)
     for i, l in enumerate(l_array):
         line = line_zero_l.with_inductance(float(l))
-        # OptimizeJob retries once from the RC optimum when the warm
-        # start fails — the recovery this loop used to apply inline.
-        outcome = executor.run_one(OptimizeJob(
-            line=line, driver=driver, f=f, method=method,
-            initial=warm_start))
-        if not outcome.ok:
+        try:
+            # OptimizeJob retries once from the RC optimum when the warm
+            # start fails.
+            optimum = OptimizeJob(line=line, driver=driver, f=f,
+                                  method=method, initial=warm_start).run()
+            bad = nonfinite_path(optimum, "result")
+            if bad is not None:
+                raise DelaySolverError(
+                    f"job produced a non-finite value at {bad}")
+        except Exception as exc:
             raise OptimizationError(
                 f"sweep point {i} (l = {l:.4g} H/m) failed: "
-                f"{outcome.error_type}: {outcome.error}")
-        optimum = outcome.result
+                f"{type(exc).__name__}: {exc}") from exc
         warm_start = (optimum["h_opt"], optimum["k_opt"])
         h_opt[i] = optimum["h_opt"]
         k_opt[i] = optimum["k_opt"]
@@ -204,18 +198,21 @@ def sweep_inductance(line_zero_l: LineParams, driver: DriverParams,
         r_s=driver.r_s, c_p=driver.c_p, c_0=driver.c_0, h=h_opt, k=k_opt)
     l_crit = critical_inductance_v(optima)
 
-    # Delay of the RC-sized stage at each l (Fig. 8) — one batched,
-    # cacheable job instead of n per-point DelayJobs.
-    rc_sized = executor.run_one(BatchDelayJob.from_inductance_sweep(
-        line_zero_l, driver, l_array, h=rc_ref.h_opt, k=rc_ref.k_opt, f=f))
-    if not rc_sized.ok:
+    # Delay of the RC-sized stage at each l (Fig. 8) — one kernel call.
+    rc_sized = StageBatch.from_inductance_sweep(
+        line_zero_l, driver, l_array, h=rc_ref.h_opt, k=rc_ref.k_opt)
+    try:
+        rc_sized_dpl = threshold_delay_v(rc_sized, f).tau / rc_sized.h
+    except DelaySolverError as exc:
+        lanes = getattr(exc, "lanes", [])
+        where = "; ".join(f"point {i} (l = {l_array[i]:.4g} H/m)"
+                          for i in lanes[:3])
+        more = f" and {len(lanes) - 3} more" if len(lanes) > 3 else ""
         raise OptimizationError(
-            f"RC-sized delay column failed for sweep of {n} points "
-            f"(l = {l_array[0]:.4g}..{l_array[-1]:.4g} H/m, "
-            f"h = {rc_ref.h_opt:.4g} m, k = {rc_ref.k_opt:.4g}): "
-            f"{rc_sized.error_type}: {rc_sized.error}")
-    rc_sized_dpl = np.asarray(rc_sized.result["delay_per_length"],
-                              dtype=float)
+            f"RC-sized delay column (h = {rc_ref.h_opt:.4g} m, "
+            f"k = {rc_ref.k_opt:.4g}) failed at "
+            f"{where or 'an unknown point'}{more}: {exc}",
+            iterations=exc.iterations, residual=exc.residual) from exc
 
     return InductanceSweep(l_values=l_array, h_opt=h_opt, k_opt=k_opt,
                            tau=tau, delay_per_length=dpl, l_crit=l_crit,

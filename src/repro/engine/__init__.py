@@ -11,9 +11,10 @@ only against the code that computed it.  The ``repro-batch`` CLI
 (:mod:`repro.engine.cli`) evaluates JSON/CSV manifests
 (:mod:`repro.engine.manifest`).
 
-The engine is the single evaluation path:
-:func:`repro.core.sweep.sweep_inductance` and the ``repro-experiments``
-runner both submit their work through it.
+The ``repro-batch``, ``repro-experiments`` and ``repro-verify`` CLIs
+evaluate through the engine.  A library call such as
+:func:`repro.core.sweep.sweep_inductance` runs in-process; wrap it in
+its job spec (``SweepJob``) to cache it.
 """
 
 from .backends import (BACKEND_NAMES, Backend, BackendStats, ProcessBackend,
@@ -23,23 +24,20 @@ from .store import (STORE_NAMES, CacheStats, DiskStore, MemoryStore,
                     ResultStore, SingleFlight, TieredStore,
                     code_version_salt, default_cache_dir, flight_key,
                     make_store)
-from .jobs import (JOB_TYPES, BatchDelayJob, BatchOptimizeJob,
-                   CriticalInductanceJob, DelayJob, ExperimentJob,
-                   OptimizeJob, SweepJob, TransientJob, job_from_dict,
-                   job_to_dict, register_job_type)
+from .jobs import (CriticalInductanceJob, DelayJob, ExperimentJob,
+                   OptimizeJob, SweepJob, TransientJob, job_to_dict)
 from .manifest import ManifestError, load_manifest
 from .metrics import BatchMetrics, JobMetrics, latency_percentiles
 
 __all__ = [
     "BACKEND_NAMES", "Backend", "BackendStats",
-    "BatchDelayJob", "BatchExecutor", "BatchMetrics", "BatchOptimizeJob",
+    "BatchExecutor", "BatchMetrics",
     "BatchReport", "CacheStats", "CriticalInductanceJob",
-    "DelayJob", "DiskStore", "ExperimentJob", "JOB_TYPES", "JobMetrics",
+    "DelayJob", "DiskStore", "ExperimentJob", "JobMetrics",
     "JobOutcome", "ManifestError", "MemoryStore", "OptimizeJob",
     "ProcessBackend", "ResultStore", "STORE_NAMES",
     "SerialBackend", "SingleFlight", "SweepJob", "ThreadBackend",
     "TieredStore", "TransientJob", "code_version_salt",
-    "default_cache_dir", "flight_key", "job_from_dict", "job_to_dict",
+    "default_cache_dir", "flight_key", "job_to_dict",
     "latency_percentiles", "load_manifest", "make_backend", "make_store",
-    "register_job_type",
 ]

@@ -10,8 +10,8 @@ core.  A :class:`Backend` is the shared seam both now plug into:
 
 * :meth:`Backend.submit_batch` — the engine path: N job specs in, N
   ordered outcome envelopes out, one :func:`_execute_job` per job;
-* :meth:`Backend.run_call` / :meth:`Backend.run_call_async` — the serve
-  path: one blocking batch-evaluator call placed on one worker (the
+* :meth:`Backend.run_call_async` — the serve path: one batch-evaluator
+  call placed on one worker without blocking the event loop (the
   evaluator itself vectorizes across its lanes).
 
 Everything *above* the seam — cache lookups, the RC re-seed retry, the
@@ -24,8 +24,8 @@ failures).
 Choosing a backend:
 
 * :class:`SerialBackend` — in-process, zero indirection.  Monkeypatched
-  evaluators, shared ``lru_cache`` state and warm-start chaining behave
-  exactly as direct calls; the engine default for ``jobs=1``.
+  evaluators and shared ``lru_cache`` state behave exactly as direct
+  calls; the engine default for ``jobs=1``.
 * :class:`ThreadBackend` — a bounded, named ``ThreadPoolExecutor``.
   Keeps the event loop responsive and overlaps I/O, but numerical work
   stays GIL-bound; the serve default.
@@ -76,10 +76,12 @@ def _execute_job(job: Any) -> Dict[str, Any]:
     envelope ``{"ok", "result" | ("error", "error_type", "traceback"),
     "wall_time"}``.
 
-    A result containing a non-finite number outside its ``trace`` is
-    reported as that job's *failure*, not a success: a NaN that slipped
-    out of a solver must never be cached or summarized as an answer
-    (the serve layer applies the same screen per lane).
+    A result containing a non-finite number anywhere, its optimizer
+    ``trace`` included, is reported as that job's *failure*, not a
+    success: a NaN that slipped out of a solver must never be cached or
+    summarized as an answer (the serve layer applies the same screen per
+    lane).  A trace writes an undefined value as ``None``, so a healthy
+    trace passes.
     """
     start = time.perf_counter()
     try:
@@ -201,7 +203,7 @@ class Backend:
     """Base execution backend: lifecycle, stats, and the two seams.
 
     Subclasses implement :meth:`submit_batch` (engine: one envelope per
-    job) and :meth:`run_call` (serve: one evaluator call on one
+    job) and :meth:`run_call_async` (serve: one evaluator call on one
     worker).  ``start``/``close`` are idempotent; an unclosed backend's
     pool is reclaimed by a ``weakref`` finalizer.
     """
@@ -255,16 +257,12 @@ class Backend:
         """Evaluate N job specs; N ordered ``_execute_job`` envelopes."""
         raise NotImplementedError
 
-    def run_call(self, fn: Callable[[Sequence[Any]], List[Dict[str, Any]]],
-                 batch: Sequence[Any]) -> List[Dict[str, Any]]:
-        """Run one blocking evaluator call on one worker."""
-        raise NotImplementedError
-
     async def run_call_async(self, fn: Callable[[Sequence[Any]],
                                                 List[Dict[str, Any]]],
                              batch: Sequence[Any]) -> List[Dict[str, Any]]:
-        """Awaitable :meth:`run_call` that never blocks the event loop
-        (except on :class:`SerialBackend`, which is inline by design)."""
+        """Run one evaluator call on one worker without blocking the
+        event loop (except on :class:`SerialBackend`, which is inline by
+        design)."""
         raise NotImplementedError
 
     # -- auxiliary I/O ----------------------------------------------------
@@ -351,9 +349,9 @@ class Backend:
 class SerialBackend(Backend):
     """Inline in-process execution — the monkeypatch-friendly default.
 
-    ``submit_batch`` is a plain loop and ``run_call`` a direct call, so
-    patched evaluators, shared memo state and warm-start chaining all
-    behave exactly as direct function calls.  Dispatch wait is a true
+    ``submit_batch`` is a plain loop and ``run_call_async`` a direct
+    call, so patched evaluators and shared memo state behave exactly as
+    direct function calls.  Dispatch wait is a true
     0.0: the caller's thread *is* the worker.
     """
 
@@ -373,18 +371,6 @@ class SerialBackend(Backend):
             return [_execute_job(job) for job in jobs]
         except BrokenProcessPool as exc:
             raise self._crash_error(len(jobs), exc) from exc
-        finally:
-            self.stats.dispatch_finished(wait=0.0)
-
-    def run_call(self, fn: Callable[[Sequence[Any]], List[Dict[str, Any]]],
-                 batch: Sequence[Any]) -> List[Dict[str, Any]]:
-        self._guard()
-        self.stats.dispatch_started(len(batch))
-        try:
-            self._fire_crash()
-            return fn(list(batch))
-        except BrokenProcessPool as exc:
-            raise self._crash_error(len(batch), exc) from exc
         finally:
             self.stats.dispatch_finished(wait=0.0)
 
@@ -513,22 +499,6 @@ class ThreadBackend(_PoolBackend):
         self.stats.dispatch_finished(wait=max(0.0, wait))
         return envelopes
 
-    def run_call(self, fn: Callable[[Sequence[Any]], List[Dict[str, Any]]],
-                 batch: Sequence[Any]) -> List[Dict[str, Any]]:
-        self._guard()
-        future, submitted = self._submit_call(fn, batch)
-        try:
-            self._fire_crash()
-            started, envelopes = future.result()
-        except BrokenProcessPool as exc:
-            self.stats.dispatch_finished()
-            raise self._crash_error(len(batch), exc) from exc
-        except BaseException:
-            self.stats.dispatch_finished()
-            raise
-        self.stats.dispatch_finished(wait=max(0.0, started - submitted))
-        return envelopes
-
     async def run_call_async(self, fn: Callable[[Sequence[Any]],
                                                 List[Dict[str, Any]]],
                              batch: Sequence[Any]) -> List[Dict[str, Any]]:
@@ -603,22 +573,6 @@ class ProcessBackend(_PoolBackend):
             # No per-chunk wait sample: timing every pickled chunk
             # would perturb the map path it is meant to observe.
             self.stats.dispatch_finished()
-
-    def run_call(self, fn: Callable[[Sequence[Any]], List[Dict[str, Any]]],
-                 batch: Sequence[Any]) -> List[Dict[str, Any]]:
-        self._guard()
-        future = self._submit_call(fn, batch)
-        try:
-            self._fire_crash()
-            wait, envelopes = future.result()
-        except BrokenProcessPool as exc:
-            self.stats.dispatch_finished()
-            raise self._handle_broken(len(batch), exc) from exc
-        except BaseException:
-            self.stats.dispatch_finished()
-            raise
-        self.stats.dispatch_finished(wait=wait)
-        return envelopes
 
     async def run_call_async(self, fn: Callable[[Sequence[Any]],
                                                 List[Dict[str, Any]]],

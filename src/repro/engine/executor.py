@@ -34,13 +34,11 @@ Guarantees:
   emit N identical payloads.
 
 The serial backend (``jobs=1``, the default) runs everything in-process:
-monkeypatching, shared ``lru_cache`` state and warm-start chaining all
-behave exactly as direct function calls — which is why it is the default
-evaluation path for :func:`repro.core.sweep.sweep_inductance`.
-``jobs=N`` selects the persistent process backend, whose warm workers
-survive across ``run()`` calls; an executor that built its own backend
-owns it — ``close()`` (or the context-manager form) shuts the workers
-down.
+monkeypatching and shared ``lru_cache`` state behave exactly as direct
+function calls.  ``jobs=N`` selects the persistent process backend,
+whose warm workers survive across ``run()`` calls; an executor that
+built its own backend owns it — ``close()`` (or the context-manager
+form) shuts the workers down.
 """
 
 from __future__ import annotations
@@ -290,10 +288,6 @@ class BatchExecutor:
                                           - before["worker_restarts"])
         report.metrics.dispatch_wait = dict(after["dispatch_wait"])
         return report
-
-    def run_one(self, job: Any) -> JobOutcome:
-        """Evaluate a single job through the same cache/isolation path."""
-        return self.run([job]).outcomes[0]
 
     # ------------------------------------------------------------------
     # The backend seam.

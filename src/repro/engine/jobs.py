@@ -13,12 +13,13 @@ nondeterministic fields, so a batch run with ``--jobs 4`` is bitwise
 identical to a serial one and a cached replay is bitwise identical to a
 fresh evaluation.
 
-Job kinds are *pluggable*: any module may define a frozen dataclass with a
-``kind`` tag, ``canonical()``, ``run()``, ``summary()`` and a ``from_dict``
-classmethod, and register it with :func:`register_job_type`.  The registry
-is what ``job_from_dict`` (and therefore manifests and the result cache)
-dispatches on; :mod:`repro.verify.jobs` uses it to route verification
-oracles through the same executor and cache as every other evaluation.
+The kinds are :class:`DelayJob`, :class:`CriticalInductanceJob`,
+:class:`OptimizeJob`, :class:`SweepJob`, :class:`TransientJob` and
+:class:`ExperimentJob` here, plus :class:`repro.verify.jobs.VerifyJob`.
+Manifest rows become jobs through
+:func:`repro.engine.manifest.job_from_entry`, served requests through the
+``from_dict`` of the three served kinds
+(:data:`repro.serve.protocol.REQUEST_JOB_TYPES`).
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from typing import (Any, ClassVar, Dict, List, Optional, Sequence, Tuple,
-                    Type, Union)
-
-import numpy as np
+                    Union)
 
 from ..core.critical import critical_inductance
 from ..core.delay import threshold_delay
@@ -106,26 +105,18 @@ def nonfinite_path(value: Any, path: str = "") -> Optional[str]:
     return None
 
 
-#: All registered job classes by their ``kind`` tag, for manifest/cache
-#: round-trips.  Populated by :func:`register_job_type`.
-JOB_TYPES: Dict[str, Type[Any]] = {}
+def flag_of(data: Dict[str, Any], key: str, default: bool) -> bool:
+    """The boolean field ``data[key]``, or ``default`` when it is absent.
 
-
-def register_job_type(cls: Type[Any]) -> Type[Any]:
-    """Class decorator registering a job kind for ``job_from_dict``.
-
-    The class must carry a ``kind`` class variable and a ``from_dict``
-    classmethod inverting its ``canonical()`` dictionary.  Registering a
-    kind twice replaces the earlier class (latest wins), which keeps
-    reloads idempotent.
+    A flag must be a JSON boolean.  ``bool("false")`` is true, so a
+    string (a CSV cell that does not parse as JSON, a hand-written
+    request) would otherwise flip the flag silently; it raises
+    ``ValueError`` naming the field instead.
     """
-    kind = getattr(cls, "kind", None)
-    if not isinstance(kind, str) or not kind:
-        raise TypeError(f"{cls.__name__} must define a string 'kind' tag")
-    if not callable(getattr(cls, "from_dict", None)):
-        raise TypeError(f"{cls.__name__} must define a from_dict classmethod")
-    JOB_TYPES[kind] = cls
-    return cls
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key!r} must be true or false, got {value!r}")
+    return value
 
 
 def line_to_dict(line: LineParams) -> Dict[str, float]:
@@ -150,7 +141,6 @@ def driver_from_dict(data: Dict[str, float]) -> DriverParams:
                         c_0=float(data["c_0"]))
 
 
-@register_job_type
 @dataclass(frozen=True)
 class DelayJob:
     """Threshold-delay solve of one fully specified stage (paper Eq. 3)."""
@@ -191,139 +181,10 @@ class DelayJob:
                    driver=driver_from_dict(data["driver"]),
                    h=float(data["h"]), k=float(data["k"]),
                    f=float(data.get("f", 0.5)),
-                   polish_with_newton=bool(
-                       data.get("polish_with_newton", False)))
+                   polish_with_newton=flag_of(
+                       data, "polish_with_newton", False))
 
 
-@register_job_type
-@dataclass(frozen=True)
-class BatchDelayJob:
-    """Vectorized threshold-delay solve of N stages as *one* cached unit.
-
-    The batch is evaluated with
-    :func:`repro.core.kernels.threshold_delay_v`, so an inductance sweep's
-    whole RC-sized delay column is a single job — one cache entry, one
-    process-pool dispatch — instead of N per-point :class:`DelayJob`\\ s.
-    With ``polish_with_newton`` false (the default of both specs), lane
-    values are bitwise identical to the corresponding scalar
-    :class:`DelayJob` results.
-
-    When ``polish_with_newton`` is true the result's
-    ``newton_iterations`` reports the masked hybrid's accepted Newton
-    steps per lane (the batched analogue of the paper's iteration count);
-    otherwise it is all zeros, mirroring the scalar job's "0 unless
-    polished" contract.
-    """
-
-    kind: ClassVar[str] = "batch_delay"
-
-    driver: DriverParams
-    lines: Tuple[LineParams, ...]
-    h: Tuple[float, ...]
-    k: Tuple[float, ...]
-    f: float = 0.5
-    polish_with_newton: bool = False
-
-    def __post_init__(self) -> None:
-        n = len(self.lines)
-        if n == 0:
-            raise ParameterError("BatchDelayJob needs at least one stage")
-        if len(self.h) != n or len(self.k) != n:
-            raise ParameterError(
-                f"BatchDelayJob field lengths disagree: "
-                f"{n} lines, {len(self.h)} h, {len(self.k)} k")
-
-    @classmethod
-    def from_stages(cls, stages, f: float = 0.5, *,
-                    polish_with_newton: bool = False) -> "BatchDelayJob":
-        """Pack stages sharing one driver into a batch job."""
-        stages = list(stages)
-        drivers = {stage.driver for stage in stages}
-        if len(drivers) != 1:
-            raise ParameterError(
-                f"BatchDelayJob stages must share one driver, got "
-                f"{len(drivers)}")
-        return cls(driver=stages[0].driver,
-                   lines=tuple(stage.line for stage in stages),
-                   h=tuple(stage.h for stage in stages),
-                   k=tuple(stage.k for stage in stages),
-                   f=f, polish_with_newton=polish_with_newton)
-
-    @classmethod
-    def from_inductance_sweep(cls, line_zero_l: LineParams,
-                              driver: DriverParams, l_values, *,
-                              h: float, k: float,
-                              f: float = 0.5) -> "BatchDelayJob":
-        """One fixed (h, k) sizing swept across an inductance grid."""
-        lines = tuple(line_zero_l.with_inductance(float(l))
-                      for l in l_values)
-        return cls(driver=driver, lines=lines,
-                   h=(float(h),) * len(lines), k=(float(k),) * len(lines),
-                   f=f)
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    def canonical(self) -> Dict[str, Any]:
-        return {"kind": self.kind,
-                "driver": driver_to_dict(self.driver),
-                "lines": [line_to_dict(line) for line in self.lines],
-                "h": list(self.h), "k": list(self.k), "f": self.f,
-                "polish_with_newton": self.polish_with_newton}
-
-    def run(self) -> Dict[str, Any]:
-        from ..core.kernels import StageBatch, threshold_delay_v
-        from ..errors import DelaySolverError
-
-        batch = StageBatch.from_arrays(
-            r=[line.r for line in self.lines],
-            l=[line.l for line in self.lines],
-            c=[line.c for line in self.lines],
-            r_s=self.driver.r_s, c_p=self.driver.c_p,
-            c_0=self.driver.c_0, h=self.h, k=self.k)
-        try:
-            solved = threshold_delay_v(batch, self.f)
-        except DelaySolverError as exc:
-            # Name the failing sweep points, not just the kernel lanes.
-            lanes = getattr(exc, "lanes", [])
-            where = "; ".join(
-                f"point {i} (l = {self.lines[i].l:.4g} H/m, "
-                f"h = {self.h[i]:.4g} m, k = {self.k[i]:.4g})"
-                for i in lanes[:3])
-            suffix = f" and {len(lanes) - 3} more" if len(lanes) > 3 else ""
-            raise DelaySolverError(
-                f"batch delay solve of {len(self)} points failed at "
-                f"{where or 'unknown point'}{suffix}: {exc}",
-                iterations=exc.iterations,
-                residual=exc.residual) from exc
-        tau = solved.tau
-        h_arr = np.asarray(self.h, dtype=float)
-        iterations = (solved.newton_iterations if self.polish_with_newton
-                      else np.zeros(len(self), dtype=np.int64))
-        return {"n": len(self),
-                "tau": jsonify(tau),
-                "delay_per_length": jsonify(tau / h_arr),
-                "threshold": self.f,
-                "damping": [d.value for d in solved.damping_values()],
-                "newton_iterations": jsonify(iterations)}
-
-    def summary(self, result: Dict[str, Any]) -> str:
-        tau = result["tau"]
-        return (f"{result['n']} lanes tau=[{min(tau):.6g}.."
-                f"{max(tau):.6g}]s")
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "BatchDelayJob":
-        return cls(driver=driver_from_dict(data["driver"]),
-                   lines=tuple(line_from_dict(d) for d in data["lines"]),
-                   h=tuple(float(x) for x in data["h"]),
-                   k=tuple(float(x) for x in data["k"]),
-                   f=float(data.get("f", 0.5)),
-                   polish_with_newton=bool(
-                       data.get("polish_with_newton", False)))
-
-
-@register_job_type
 @dataclass(frozen=True)
 class CriticalInductanceJob:
     """Eq. 4 critical-inductance query of one (h, k) configuration.
@@ -374,11 +235,11 @@ class CriticalInductanceJob:
 def _optimum_payload(optimum, retried: bool) -> Dict[str, Any]:
     """Shared result-dict form of a RepeaterOptimum (plus its trace).
 
-    ``h_opt``/``k_opt`` are passed through *uncoerced*: the serial
-    in-process executor hands this dict straight to callers such as
-    :func:`repro.core.sweep.sweep_inductance`, whose warm-start chain
-    depends on receiving the optimizer's raw (possibly ``np.float64``)
-    iterates — coercing here would perturb downstream optima by ulps.
+    ``h_opt``/``k_opt`` are passed through *uncoerced*:
+    :func:`repro.core.sweep.sweep_inductance` reads them straight from
+    ``OptimizeJob.run()``, and its warm-start chain depends on receiving
+    the optimizer's raw (possibly ``np.float64``) iterates — coercing
+    here would perturb downstream optima by ulps.
     JSON boundaries (cache, manifests) canonicalize via ``jsonify``.
     """
     return {"h_opt": optimum.h_opt, "k_opt": optimum.k_opt,
@@ -405,9 +266,9 @@ def reseed_failed_lanes(jobs: Sequence["OptimizeJob"],
     given (``initial`` set, ``retry_reseed`` true) re-runs once from
     the closed-form RC optimum (the Elmore optimum ignores l, so this is
     the l = 0 seed); all such lanes share one more lockstep call on
-    fresh evaluators.  ``OptimizeJob``, ``BatchOptimizeJob`` and the
-    serve layer's optimize batches all finish through here, so the same
-    failed spec reports the same error on every entry point.
+    fresh evaluators.  ``OptimizeJob`` and the serve layer's optimize
+    batches both finish through here, so the same failed spec reports
+    the same error on every entry point.
 
     Returns, per lane, its :func:`_optimum_payload` (``retried`` true
     when the re-seed produced it) or its exception.
@@ -446,16 +307,15 @@ def reseed_failed_lanes(jobs: Sequence["OptimizeJob"],
     return results
 
 
-@register_job_type
 @dataclass(frozen=True)
 class OptimizeJob:
     """Repeater-insertion optimization of one (line, driver, f) config.
 
     ``initial`` is the warm start; when it fails with
     :class:`OptimizationError` and ``retry_reseed`` is true, the job
-    retries exactly once from the closed-form RC optimum — the same
-    recovery :func:`repro.core.sweep.sweep_inductance` has always applied
-    inline.  The retry is part of the spec, so it is deterministic and
+    retries exactly once from the closed-form RC optimum — the recovery
+    each warm-started point of :func:`repro.core.sweep.sweep_inductance`
+    relies on.  The retry is part of the spec, so it is deterministic and
     cache-safe.
     """
 
@@ -511,142 +371,9 @@ class OptimizeJob:
                             if initial else None),
                    tol=float(data.get("tol", 1e-9)),
                    max_iterations=int(data.get("max_iterations", 200)),
-                   retry_reseed=bool(data.get("retry_reseed", True)))
+                   retry_reseed=flag_of(data, "retry_reseed", True))
 
 
-@register_job_type
-@dataclass(frozen=True)
-class BatchOptimizeJob:
-    """N independent repeater optimizations as one cached batch unit.
-
-    Multi-start (one configuration, many seeds) and multi-config (one
-    sizing problem per line, e.g. an inductance grid) both reduce to N
-    independent ``optimize_repeater`` runs; this job executes them with
-    two batching advantages over N :class:`OptimizeJob`\\ s:
-
-    * the N Newton loops advance in *lockstep*
-      (:func:`repro.core.optimize.optimize_repeater_many`): the seeds,
-      every iteration's finite-difference probes and every backtracking
-      wave's trial points pool into single kernel batches, and the
-      failed warm starts re-seed together (:func:`reseed_failed_lanes`),
-      and
-    * the whole batch is a single cache entry / pool dispatch.
-
-    Per-lane results — including the convergence path, the attached
-    trace with its counters, and any per-lane failure — are identical
-    to running each lane as its own :class:`OptimizeJob` (lane
-    evaluation is batch-size invariant).  Failed lanes are isolated
-    into ``errors``; ``best_index`` points at the lowest surviving delay
-    per unit length.
-    """
-
-    kind: ClassVar[str] = "batch_optimize"
-
-    driver: DriverParams
-    lines: Tuple[LineParams, ...]
-    f: float = 0.5
-    method: OptimizerMethod = OptimizerMethod.AUTO
-    initials: Optional[Tuple[Optional[Tuple[float, float]], ...]] = None
-    tol: float = 1e-9
-    max_iterations: int = 200
-    retry_reseed: bool = True
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            raise ParameterError("BatchOptimizeJob needs at least one lane")
-        if self.initials is not None and len(self.initials) != len(self.lines):
-            raise ParameterError(
-                f"BatchOptimizeJob field lengths disagree: "
-                f"{len(self.lines)} lines, {len(self.initials)} initials")
-
-    @classmethod
-    def from_multistart(cls, line: LineParams, driver: DriverParams,
-                        seeds, f: float = 0.5, **kwargs
-                        ) -> "BatchOptimizeJob":
-        """One configuration optimized from several (h, k) seeds."""
-        seeds = tuple(tuple(float(x) for x in seed) for seed in seeds)
-        return cls(driver=driver, lines=(line,) * len(seeds), f=f,
-                   initials=seeds, **kwargs)
-
-    @classmethod
-    def from_inductance_grid(cls, line_zero_l: LineParams,
-                             driver: DriverParams, l_values,
-                             f: float = 0.5, **kwargs
-                             ) -> "BatchOptimizeJob":
-        """One optimization per inductance, each seeded independently
-        (unlike the warm-start chain of ``sweep_inductance``)."""
-        lines = tuple(line_zero_l.with_inductance(float(l))
-                      for l in l_values)
-        return cls(driver=driver, lines=lines, f=f, **kwargs)
-
-    def __len__(self) -> int:
-        return len(self.lines)
-
-    def canonical(self) -> Dict[str, Any]:
-        return {"kind": self.kind,
-                "driver": driver_to_dict(self.driver),
-                "lines": [line_to_dict(line) for line in self.lines],
-                "f": self.f, "method": self.method.value,
-                "initials": ([list(i) if i else None for i in self.initials]
-                             if self.initials is not None else None),
-                "tol": self.tol, "max_iterations": self.max_iterations,
-                "retry_reseed": self.retry_reseed}
-
-    def run(self) -> Dict[str, Any]:
-        initials = self.initials or (None,) * len(self.lines)
-        lanes = [OptimizeJob(line=line, driver=self.driver, f=self.f,
-                             method=self.method, initial=initial,
-                             tol=self.tol,
-                             max_iterations=self.max_iterations,
-                             retry_reseed=self.retry_reseed)
-                 for line, initial in zip(self.lines, initials)]
-        outcomes = optimize_repeater_many(
-            self.lines, self.driver, self.f, method=self.method,
-            initials=initials, tol=self.tol,
-            max_iterations=self.max_iterations)
-        results: list = []
-        errors: list = []
-        for i, result in enumerate(reseed_failed_lanes(lanes, outcomes)):
-            if isinstance(result, Exception):
-                results.append(None)
-                errors.append({"lane": i,
-                               "error_type": type(result).__name__,
-                               "error": str(result)})
-            else:
-                results.append(result)
-        ok = [i for i, res in enumerate(results) if res is not None]
-        best_index = (min(ok, key=lambda i: results[i]["delay_per_length"])
-                      if ok else None)
-        return {"n": len(self),
-                "results": results,
-                "errors": errors,
-                "best_index": best_index}
-
-    def summary(self, result: Dict[str, Any]) -> str:
-        failed = len(result["errors"])
-        best = result["best_index"]
-        if best is None:
-            return f"{result['n']} lanes, all failed"
-        dpl = result["results"][best]["delay_per_length"]
-        return (f"{result['n']} lanes ({failed} failed) "
-                f"best[{best}] tau/h={dpl:.6g}s/m")
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "BatchOptimizeJob":
-        initials = data.get("initials")
-        return cls(driver=driver_from_dict(data["driver"]),
-                   lines=tuple(line_from_dict(d) for d in data["lines"]),
-                   f=float(data.get("f", 0.5)),
-                   method=OptimizerMethod(data.get("method", "auto")),
-                   initials=(tuple(
-                       tuple(float(x) for x in i) if i else None
-                       for i in initials) if initials is not None else None),
-                   tol=float(data.get("tol", 1e-9)),
-                   max_iterations=int(data.get("max_iterations", 200)),
-                   retry_reseed=bool(data.get("retry_reseed", True)))
-
-
-@register_job_type
 @dataclass(frozen=True)
 class SweepJob:
     """Warm-started inductance sweep of the repeater optimum (Figs. 4-8)."""
@@ -692,16 +419,7 @@ class SweepJob:
         return (f"{len(result['l_values'])} points "
                 f"degradation={dpl[-1] / dpl[0]:.4g}x")
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SweepJob":
-        return cls(line_zero_l=line_from_dict(data["line"]),
-                   driver=driver_from_dict(data["driver"]),
-                   l_values=tuple(float(x) for x in data["l_values"]),
-                   f=float(data.get("f", 0.5)),
-                   method=OptimizerMethod(data.get("method", "auto")))
 
-
-@register_job_type
 @dataclass(frozen=True)
 class TransientJob:
     """Ring-oscillator transient at one inductance (Figs. 9-12 testbench)."""
@@ -751,20 +469,7 @@ class TransientJob:
             return "no oscillation (false switching)"
         return f"period={result['period']:.6g}s"
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TransientJob":
-        return cls(
-            node_name=str(data["node_name"]),
-            l_nh_per_mm=float(data["l_nh_per_mm"]),
-            n_stages=int(data.get("n_stages", 5)),
-            segments=int(data.get("segments", 10)),
-            style=str(data.get("style", "mosfet")),
-            probe_stage=int(data.get("probe_stage", 2)),
-            period_budget=float(data.get("period_budget", 14.0)),
-            steps_per_period=int(data.get("steps_per_period", 700)))
 
-
-@register_job_type
 @dataclass(frozen=True)
 class ExperimentJob:
     """One registered paper/extension experiment, run as a batch job.
@@ -801,26 +506,7 @@ class ExperimentJob:
     def summary(self, result: Dict[str, Any]) -> str:
         return f"{result['title']} ({len(result['rows'])} rows)"
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ExperimentJob":
-        return cls(experiment_id=str(data["experiment_id"]),
-                   options_json=canonical_json(data.get("options", {})))
-
 
 def job_to_dict(job: Any) -> Dict[str, Any]:
     """Serialize any job to its canonical dictionary (includes ``kind``)."""
     return job.canonical()
-
-
-def job_from_dict(data: Dict[str, Any]) -> Any:
-    """Rebuild a job from a canonical dictionary produced by ``canonical()``."""
-    kind = data.get("kind")
-    if kind not in JOB_TYPES:
-        if kind == "verify":
-            # The verify job kind registers on package import; pull it in
-            # so manifests containing verification jobs load standalone.
-            from .. import verify  # noqa: F401
-        if kind not in JOB_TYPES:
-            known = ", ".join(sorted(JOB_TYPES))
-            raise ValueError(f"unknown job kind {kind!r}; known: {known}")
-    return JOB_TYPES[kind].from_dict(data)

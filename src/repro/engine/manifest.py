@@ -33,7 +33,8 @@ from ..core.optimize import OptimizerMethod
 from ..core.params import DriverParams, LineParams
 from ..tech.node import get_node
 from .jobs import (DelayJob, ExperimentJob, OptimizeJob, SweepJob,
-                   TransientJob, driver_from_dict, line_from_dict)
+                   TransientJob, driver_from_dict, flag_of, line_from_dict,
+                   nonfinite_path)
 
 
 class ManifestError(ValueError):
@@ -89,8 +90,8 @@ def job_from_entry(entry: Dict[str, Any]) -> Any:
                            tol=float(entry.get("tol", 1e-9)),
                            max_iterations=int(
                                entry.get("max_iterations", 200)),
-                           retry_reseed=bool(
-                               entry.get("retry_reseed", True)))
+                           retry_reseed=flag_of(entry, "retry_reseed",
+                                                True))
     if kind == "delay":
         line, driver = _resolve_line_driver(entry)
         try:
@@ -103,8 +104,8 @@ def job_from_entry(entry: Dict[str, Any]) -> Any:
                 from exc
         return DelayJob(line=line, driver=driver, h=h, k=k,
                         f=float(entry.get("f", 0.5)),
-                        polish_with_newton=bool(
-                            entry.get("polish_with_newton", False)))
+                        polish_with_newton=flag_of(
+                            entry, "polish_with_newton", False))
     if kind == "sweep":
         line, driver = _resolve_line_driver(entry)
         if "l_values_nh_per_mm" in entry:
@@ -151,10 +152,20 @@ def job_from_entry(entry: Dict[str, Any]) -> Any:
 def jobs_from_entries(entries: List[Dict[str, Any]],
                       defaults: Optional[Dict[str, Any]] = None
                       ) -> List[Any]:
-    """Build jobs from entry dictionaries, applying manifest defaults."""
+    """Build jobs from entry dictionaries, applying manifest defaults.
+
+    ``json.loads`` accepts ``NaN``/``Infinity`` tokens and a CSV cell
+    ``NaN`` parses to ``nan``; an entry holding one is refused here,
+    before any job runs, as serve refuses such a request.
+    """
     jobs = []
     for position, entry in enumerate(entries):
         merged = {**(defaults or {}), **entry}
+        nonfinite = nonfinite_path(merged)
+        if nonfinite is not None:
+            raise ManifestError(
+                f"invalid manifest entry #{position}: field "
+                f"{nonfinite!r} is not a finite number")
         try:
             jobs.append(job_from_entry(merged))
         except ManifestError:

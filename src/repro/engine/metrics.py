@@ -61,27 +61,19 @@ def iterations_of(result: Dict[str, Any]) -> int:
 
 
 def trace_counts_of(result: Dict[str, Any]) -> tuple:
-    """(fallbacks, backtracks) summed over the optimization traces a
-    result payload carries — its own ``trace`` (OptimizeJob), per-lane
-    ``results[i]["trace"]`` entries (BatchOptimizeJob), or a sweep's
+    """(fallbacks, backtracks) a result payload reports — from its own
+    optimization ``trace`` (OptimizeJob), or from a sweep's
     pre-aggregated ``fallback_points``/``backtrack_steps`` columns."""
-    traces = []
-    if isinstance(result.get("trace"), dict):
-        traces.append(result["trace"])
-    for lane in result.get("results") or []:
-        if isinstance(lane, dict) and isinstance(lane.get("trace"), dict):
-            traces.append(lane["trace"])
-    fallbacks = sum(
-        1 for trace in traces
-        if any(event.get("kind") == "fallback"
-               for event in trace.get("events", [])))
-    backtracks = sum(int(step.get("backtracks", 0)) for trace in traces
-                     for step in trace.get("steps", []))
-    if not traces:
-        fallbacks = len(result.get("fallback_points") or [])
-        value = result.get("backtrack_steps")
-        backtracks = value if isinstance(value, int) else 0
-    return fallbacks, backtracks
+    trace = result.get("trace")
+    if isinstance(trace, dict):
+        fallbacks = int(any(event.get("kind") == "fallback"
+                            for event in trace.get("events", [])))
+        backtracks = sum(int(step.get("backtracks", 0))
+                         for step in trace.get("steps", []))
+        return fallbacks, backtracks
+    value = result.get("backtrack_steps")
+    return (len(result.get("fallback_points") or []),
+            value if isinstance(value, int) else 0)
 
 
 @dataclass

@@ -58,7 +58,7 @@ ENGINE_SITES = frozenset(
     if point.scenario == "engine")
 
 #: Sites of the execution-backend plane, driven through both seams the
-#: backend serves (engine ``submit_batch`` and serve ``run_call``).
+#: backend serves (engine ``submit_batch`` and serve ``run_call_async``).
 BACKEND_SITES = frozenset(
     name for name, point in FAULT_POINTS.items()
     if point.scenario == "backend")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Type
 
 from ..engine.jobs import (CriticalInductanceJob, DelayJob, OptimizeJob,
-                          nonfinite_path)
+                          flag_of, nonfinite_path)
 from ..errors import ParameterError
 
 #: Request classes the service batches, mapped to their engine job spec.
@@ -142,11 +142,11 @@ def parse_request(data: Any) -> ServeRequest:
         if timeout <= 0.0:
             raise BadRequestError(
                 f"timeout must be positive, got {timeout}")
-    no_cache = bool(data.get("no_cache", False))
 
     body = {key: value for key, value in data.items()
             if key not in PROTOCOL_KEYS}
     try:
+        no_cache = flag_of(data, "no_cache", False)
         job = REQUEST_JOB_TYPES[kind].from_dict(body)
     except (KeyError, TypeError, ValueError, ParameterError) as exc:
         detail = (f"missing field {exc}" if isinstance(exc, KeyError)

@@ -1,11 +1,11 @@
 """The ``verify`` engine job: one (case, oracle) evaluation.
 
-Registering the job kind with :func:`repro.engine.jobs.register_job_type`
-gives the verification layer everything the batch engine already
-guarantees — submission-order determinism, per-job fault isolation,
-process-pool parallelism and content-addressed caching — without a
-parallel execution path.  A verify job in a ``repro-batch`` manifest is
-legal too: the engine treats it like any other kind.
+Running each (case, oracle) pair as an engine job gives the verification
+layer everything the batch engine already guarantees — submission-order
+determinism, per-job fault isolation, process-pool parallelism and
+content-addressed caching — without a parallel execution path.
+``repro-verify`` builds these jobs itself; a ``repro-batch`` manifest
+has no ``verify`` kind.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict
 
-from ..engine.jobs import register_job_type
 from .cases import VerifyCase
 
 
-@register_job_type
 @dataclass(frozen=True)
 class VerifyJob:
     """Evaluate one verification case with one named oracle."""
@@ -39,8 +37,3 @@ class VerifyJob:
     def summary(self, result: Dict[str, Any]) -> str:
         return (f"{result['oracle']}: tau={result['tau']:.6g}s "
                 f"f={result['threshold']:g} ({result['damping']})")
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "VerifyJob":
-        return cls(case=VerifyCase.from_dict(data["case"]),
-                   oracle=str(data["oracle"]))

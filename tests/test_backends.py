@@ -19,7 +19,7 @@ from repro.engine.store import DiskStore
 from repro.engine.backends import (BACKEND_NAMES, Backend, ProcessBackend,
                                    SerialBackend, ThreadBackend,
                                    make_backend)
-from repro.engine.jobs import BatchOptimizeJob, DelayJob, OptimizeJob
+from repro.engine.jobs import DelayJob, OptimizeJob, SweepJob
 from repro.faults import FaultPlan, FaultRule, hooks
 
 NH = units.NH_PER_MM
@@ -53,9 +53,9 @@ def mixed_jobs():
     return (delay_jobs([0.0, 1.5])
             + optimize_jobs([0.5])
             + [poisoned_job(),
-               BatchOptimizeJob.from_inductance_grid(
-                   NODE_100NM.line, NODE_100NM.driver,
-                   [0.0, 1.0 * NH])])
+               SweepJob(line_zero_l=NODE_100NM.line,
+                        driver=NODE_100NM.driver,
+                        l_values=(0.0, 1.0 * NH))])
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +158,7 @@ class TestLifecycle:
 
 
 class TestServeSeam:
-    """run_call / run_call_async: one evaluator call on one worker."""
+    """run_call_async: one evaluator call on one worker."""
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_run_call_matches_direct_evaluation(self, name):
@@ -167,10 +167,8 @@ class TestServeSeam:
         jobs = delay_jobs([0.0, 0.5, 1.0])
         direct = evaluate_delay_batch(jobs)
         with make_backend(name, workers=2) as backend:
-            via_sync = backend.run_call(evaluate_delay_batch, jobs)
             via_async = asyncio.run(
                 backend.run_call_async(evaluate_delay_batch, jobs))
-        assert via_sync == direct
         assert via_async == direct
 
     def test_run_call_counts_dispatches(self):
@@ -178,9 +176,9 @@ class TestServeSeam:
 
         jobs = delay_jobs([0.0, 1.0])
         with ThreadBackend(1) as backend:
-            backend.run_call(evaluate_delay_batch, jobs)
-            asyncio.run(
-                backend.run_call_async(evaluate_delay_batch, jobs))
+            for _ in range(2):
+                asyncio.run(
+                    backend.run_call_async(evaluate_delay_batch, jobs))
             snapshot = backend.stats.snapshot()
         assert snapshot["dispatches"] == 2
         assert snapshot["lanes"] == 4

@@ -84,6 +84,35 @@ class TestRun:
         assert main(["run", str(path)]) == 2
         assert "repro-batch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, field", [
+        ("nan.json", '[{"kind": "delay", "node": "100nm", '
+                     '"l_nh_per_mm": NaN, "h": 0.01, "k": 100}]',
+         "l_nh_per_mm"),
+        ("inf.json", '[{"kind": "optimize", "node": "100nm"}, '
+                     '{"kind": "optimize", "node": "100nm", '
+                     '"tol": Infinity}]',
+         "tol"),
+        ("nan.csv", "kind,node,l_nh_per_mm\noptimize,100nm,NaN\n",
+         "l_nh_per_mm"),
+    ], ids=["json-nan", "json-infinity", "csv-nan"])
+    def test_nonfinite_entry_is_refused_before_any_job_runs(
+            self, tmp_path, cache_dir, capsys, name, text, field):
+        """``json.loads`` takes NaN/Infinity tokens and a CSV cell
+        ``NaN`` parses to nan; such an entry fails the whole manifest
+        the way a malformed one does, before a row is evaluated."""
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        assert main(["run", str(path), "--cache-dir", str(cache_dir),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"field {field!r} is not a finite number" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+        assert main(["cache", "stats", "--cache-dir",
+                     str(cache_dir)]) == 0
+        assert "0 entries" in capsys.readouterr().out
+
 
 class TestCacheCommands:
     def test_stats_and_clear(self, manifest, cache_dir, capsys):

@@ -36,7 +36,7 @@ class TestSerialExecution:
         assert h[1] > h[2] > h[0]  # h_opt grows with l
 
     def test_run_one(self):
-        outcome = BatchExecutor().run_one(optimize_jobs([1.0])[0])
+        outcome = BatchExecutor().run([optimize_jobs([1.0])[0]]).outcomes[0]
         assert outcome.ok
         assert outcome.unwrap()["h_opt"] > 0.0
 
@@ -60,7 +60,7 @@ class TestFaultIsolation:
         assert report.metrics.jobs_failed == 1
 
     def test_unwrap_raises_on_failure(self):
-        outcome = BatchExecutor().run_one(poisoned_job())
+        outcome = BatchExecutor().run([poisoned_job()]).outcomes[0]
         with pytest.raises(RuntimeError, match="OptimizationError"):
             outcome.unwrap()
 
@@ -118,8 +118,8 @@ class TestCaching:
         job = DelayJob(line=line, driver=NODE_100NM.driver,
                        h=0.01, k=150.0)
         executor = BatchExecutor(cache=DiskStore(tmp_path))
-        first = executor.run_one(job)
-        second = executor.run_one(job)
+        first = executor.run([job]).outcomes[0]
+        second = executor.run([job]).outcomes[0]
         assert second.from_cache
         assert second.result == first.result
 

@@ -9,8 +9,10 @@ from repro import (NODE_100NM, OptimizationError, OptimizerMethod,
 from repro.engine import jobs as jobs_module
 from repro.engine.jobs import (CriticalInductanceJob, DelayJob,
                                ExperimentJob, OptimizeJob, SweepJob,
-                               TransientJob, canonical_json, job_from_dict,
-                               job_to_dict, jsonify)
+                               TransientJob, canonical_json, jsonify)
+from repro.engine.manifest import (ManifestError, job_from_entry,
+                                   load_manifest)
+from repro.serve.protocol import BadRequestError, parse_request
 
 
 @pytest.fixture()
@@ -35,27 +37,9 @@ class TestCanonicalForm:
         assert (canonical_json({"b": 1, "a": [2.5, True]})
                 == canonical_json({"a": [2.5, True], "b": 1}))
 
-    def test_canonical_roundtrip_every_kind(self, line, driver):
-        specs = [
-            DelayJob(line=line, driver=driver, h=0.01, k=100.0),
-            CriticalInductanceJob(line=line, driver=driver, h=0.01,
-                                  k=100.0),
-            OptimizeJob(line=line, driver=driver, initial=(0.01, 150.0),
-                        method=OptimizerMethod.NEWTON),
-            SweepJob(line_zero_l=line.with_inductance(0.0), driver=driver,
-                     l_values=(0.0, 1e-6)),
-            TransientJob(node_name="100nm", l_nh_per_mm=1.8),
-            ExperimentJob.create("fig5", points=11),
-        ]
-        for job in specs:
-            rebuilt = job_from_dict(job_to_dict(job))
-            assert rebuilt == job
-            assert canonical_json(rebuilt.canonical()) \
-                == canonical_json(job.canonical())
-
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown job kind"):
-            job_from_dict({"kind": "bogus"})
+        with pytest.raises(ManifestError, match="valid 'kind'"):
+            job_from_entry({"kind": "bogus"})
 
     def test_jsonify_handles_numpy(self):
         import numpy as np
@@ -233,3 +217,55 @@ class TestExperimentJob:
         assert result["experiment_id"] == "fig2"
         assert result["rows"]
         json.dumps(result)
+
+
+def _csv_polish(tmp_path, cell):
+    path = tmp_path / "manifest.csv"
+    path.write_text("kind,node,l_nh_per_mm,h,k,polish_with_newton\n"
+                    f"delay,100nm,1.0,0.01,100,{cell}\n")
+    (job,) = load_manifest(path)
+    return job.polish_with_newton
+
+
+def _entry_retry(tmp_path, value):
+    return job_from_entry({"kind": "optimize", "node": "100nm",
+                           "retry_reseed": value}).retry_reseed
+
+
+def _served_document():
+    return jsonify(OptimizeJob(line=NODE_100NM.line,
+                               driver=NODE_100NM.driver).canonical())
+
+
+def _served_retry(tmp_path, value):
+    document = {**_served_document(), "retry_reseed": value}
+    return parse_request(document).job.retry_reseed
+
+
+def _served_no_cache(tmp_path, value):
+    return parse_request({**_served_document(),
+                          "no_cache": value}).no_cache
+
+
+class TestFlags:
+    """A flag must be a JSON boolean: ``bool("false")`` is true."""
+
+    @pytest.mark.parametrize("read, value, field", [
+        (_csv_polish, "False", "polish_with_newton"),
+        (_entry_retry, "false", "retry_reseed"),
+        (_served_retry, "false", "retry_reseed"),
+        (_served_no_cache, "false", "no_cache"),
+    ], ids=["csv-polish", "manifest-retry", "served-retry",
+            "served-no-cache"])
+    def test_string_flag_is_refused(self, tmp_path, read, value, field):
+        with pytest.raises((ValueError, BadRequestError), match=field):
+            read(tmp_path, value)
+
+    @pytest.mark.parametrize("read, value", [
+        (_csv_polish, "true"), (_csv_polish, "false"),
+        (_entry_retry, True), (_entry_retry, False),
+        (_served_retry, True), (_served_retry, False),
+        (_served_no_cache, True), (_served_no_cache, False),
+    ])
+    def test_json_booleans_are_read(self, tmp_path, read, value):
+        assert read(tmp_path, value) is (value in (True, "true"))

@@ -24,7 +24,7 @@ from repro.core.optimize import (OptimizerMethod, _fail, optimize_repeater,
 from repro.core.params import DriverParams, LineParams, Stage
 from repro.core.delay import threshold_delay
 from repro.core.sweep import sweep_inductance
-from repro.engine import BatchOptimizeJob, OptimizeJob
+from repro.engine import OptimizeJob
 from repro.engine.jobs import _optimum_payload, canonical_json
 from repro.errors import DelaySolverError, OptimizationError, ParameterError
 from repro.tech.node import NODE_100NM, NODE_250NM
@@ -292,57 +292,6 @@ class TestEngineJobs:
         cache.put(job, result)
         assert cache.get(job)["trace"] == \
             OptimizationTrace.from_payload(trace).to_payload()
-
-    def test_batch_job_matches_individual_jobs_bitwise(self):
-        node = NODE_100NM
-        l_grid = [0.0, 1.0, 2.0]
-        lines = tuple(_line_at(node, l) for l in l_grid)
-        batch = BatchOptimizeJob(driver=node.driver, lines=lines).run()
-        assert batch["n"] == 3
-        assert batch["errors"] == []
-        for lane, line in enumerate(lines):
-            single = OptimizeJob(line=line, driver=node.driver).run()
-            assert canonical_json(batch["results"][lane]) \
-                == canonical_json(single)
-        delays = [r["delay_per_length"] for r in batch["results"]]
-        assert batch["best_index"] == delays.index(min(delays))
-
-    def test_batch_job_from_constructors_round_trip(self):
-        from repro.engine import job_from_dict, job_to_dict
-        node = NODE_100NM
-        job = BatchOptimizeJob.from_multistart(
-            _line_at(node, 1.0), node.driver,
-            seeds=[(0.01, 300.0), (0.02, 200.0)])
-        assert len(job) == 2
-        clone = job_from_dict(job_to_dict(job))
-        assert clone == job
-        grid_job = BatchOptimizeJob.from_inductance_grid(
-            node.line, node.driver,
-            [0.0, 1e-6])
-        assert len(grid_job) == 2
-        assert grid_job.lines[1].l == 1e-6
-
-    def test_batch_job_isolates_bad_lane(self):
-        node = NODE_100NM
-        lines = (_line_at(node, 1.0), _line_at(node, 0.0))
-        job = BatchOptimizeJob(
-            driver=node.driver, lines=lines,
-            initials=((0.012, 300.0), (-1.0, 300.0)),
-            retry_reseed=False)
-        result = job.run()
-        assert len(result["results"]) == 2
-        assert result["results"][1] is None
-        assert result["errors"][0]["lane"] == 1
-        assert result["best_index"] == 0
-
-    def test_batch_job_validates_lengths(self):
-        node = NODE_100NM
-        with pytest.raises(ParameterError, match="at least one"):
-            BatchOptimizeJob(driver=node.driver, lines=())
-        with pytest.raises(ParameterError, match="disagree"):
-            BatchOptimizeJob(driver=node.driver,
-                             lines=(_line_at(node, 1.0),),
-                             initials=((0.01, 100.0), (0.02, 200.0)))
 
 
 class TestMetrics:

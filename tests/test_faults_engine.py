@@ -88,7 +88,7 @@ class TestRetryExhaustion:
         assert "RC re-seed" in message
 
     def test_executor_reports_exhausted_retry_with_context(self):
-        outcome = BatchExecutor(jobs=1).run_one(self._doomed_job())
+        outcome = BatchExecutor(jobs=1).run([self._doomed_job()]).outcomes[0]
         assert not outcome.ok
         assert outcome.error_type == "OptimizationError"
         assert "optimize retry exhausted" in outcome.error
@@ -158,7 +158,7 @@ class TestNonFiniteScreen:
                       mode="nth", n=1)])
         cache = DiskStore(tmp_path)
         with hooks.active(plan):
-            outcome = BatchExecutor(jobs=1, cache=cache).run_one(job)
+            outcome = BatchExecutor(jobs=1, cache=cache).run([job]).outcomes[0]
         assert not outcome.ok
         assert outcome.error_type == "DelaySolverError"
         assert "non-finite" in outcome.error
@@ -174,7 +174,7 @@ class TestNonFiniteScreen:
                       mode="nth", n=1)])
         cache = DiskStore(tmp_path)
         with hooks.active(plan):
-            outcome = BatchExecutor(jobs=1, cache=cache).run_one(job)
+            outcome = BatchExecutor(jobs=1, cache=cache).run([job]).outcomes[0]
         assert outcome.ok, outcome.error
         steps = outcome.result["trace"]["steps"]
         assert any(value is None for step in steps
@@ -187,7 +187,7 @@ class TestNonFiniteScreen:
                                           mode="nth", n=1)])
         cache = DiskStore(tmp_path)
         with hooks.active(plan):
-            outcome = BatchExecutor(jobs=1, cache=cache).run_one(job)
+            outcome = BatchExecutor(jobs=1, cache=cache).run([job]).outcomes[0]
         assert outcome.ok
         assert cache.tmp_files() == []   # failed writer cleaned up
         assert cache.get(job) is None    # nothing was promoted
@@ -200,6 +200,6 @@ class TestNonFiniteScreen:
                                           mode="nth", n=1, delay=0.05)])
         start = time.perf_counter()
         with hooks.active(plan):
-            outcome = BatchExecutor(jobs=1).run_one(job)
+            outcome = BatchExecutor(jobs=1).run([job]).outcomes[0]
         assert outcome.ok
         assert time.perf_counter() - start >= 0.05

@@ -11,19 +11,18 @@ last bit, not merely to a tolerance.
 import numpy as np
 import pytest
 
-from repro import (DriverParams, LineParams, ParameterError, Stage,
-                   canonical_response, compute_moments, compute_poles,
-                   critical_inductance, threshold_delay, units)
+from repro import (ParameterError, Stage, canonical_response,
+                   compute_moments, compute_poles, critical_inductance,
+                   threshold_delay, units)
 from repro.core import brent_threshold_delay
 from repro.core.kernels import (DAMPING_BY_CODE, ResponseBatch, StageBatch,
                                 as_response_batch, classify_damping_v,
                                 compute_moments_v, critical_inductance_v,
                                 poles_v, response_v, threshold_delay_v)
 from repro.core.response import StepResponse
-from repro.engine import (BatchDelayJob, BatchExecutor, DelayJob,
-                          job_from_dict, job_to_dict)
-from repro.engine.store import DiskStore
-from repro.errors import DelaySolverError
+from repro.core.sweep import sweep_inductance
+from repro.engine import DelayJob
+from repro.errors import DelaySolverError, OptimizationError
 from repro.verify import unit_tolerance
 
 
@@ -214,42 +213,22 @@ class TestCriticalInductance:
             assert l_crit[i] == critical_inductance(batch.stage(i)), i
 
 
-class TestBatchDelayJob:
-    def test_round_trip(self, node, rc_opt):
-        job = BatchDelayJob.from_inductance_sweep(
-            node.line, node.driver, [0.0, 1e-7, 5e-7],
-            h=rc_opt.h_opt, k=rc_opt.k_opt, f=0.4)
-        assert job_from_dict(job_to_dict(job)) == job
+class TestRcSizedColumn:
+    """``sweep_inductance``'s RC-sized delay column (Fig. 8) is one
+    ``threshold_delay_v`` call whose lanes match per-point delay jobs."""
 
     def test_matches_per_point_delay_jobs(self, node, rc_opt):
         l_values = [0.0, 1e-7, 1.0 * units.NH_PER_MM]
-        batch = BatchDelayJob.from_inductance_sweep(
-            node.line, node.driver, l_values,
-            h=rc_opt.h_opt, k=rc_opt.k_opt)
-        result = batch.run()
+        sweep = sweep_inductance(node.line, node.driver, l_values)
         for i, l in enumerate(l_values):
             scalar = DelayJob(line=node.line.with_inductance(l),
                               driver=node.driver, h=rc_opt.h_opt,
                               k=rc_opt.k_opt).run()
-            assert result["tau"][i] == scalar["tau"], i
-            assert result["damping"][i] == scalar["damping"], i
-            assert result["newton_iterations"][i] == 0, i
+            assert sweep.rc_sized_delay_per_length[i] \
+                == scalar["delay_per_length"], i
 
-    def test_cached_as_one_unit(self, node, rc_opt, tmp_path):
-        cache = DiskStore(tmp_path / "cache")
-        executor = BatchExecutor(cache=cache)
-        job = BatchDelayJob.from_inductance_sweep(
-            node.line, node.driver, [0.0, 2e-7],
-            h=rc_opt.h_opt, k=rc_opt.k_opt)
-        first = executor.run([job])
-        assert (cache.stats().hits, cache.stats().misses) == (0, 1)
-        second = executor.run([job])
-        assert cache.stats().hits == 1
-        assert second.outcomes[0].result == first.outcomes[0].result
-
-    def test_solver_failure_names_sweep_points(self, node, rc_opt,
-                                               monkeypatch):
-        import repro.core.kernels as kernels_mod
+    def test_solver_failure_names_sweep_points(self, node, monkeypatch):
+        import repro.core.sweep as sweep_mod
 
         def explode(batch, f):
             error = DelaySolverError("injected", iterations=7,
@@ -257,24 +236,9 @@ class TestBatchDelayJob:
             error.lanes = [1]
             raise error
 
-        monkeypatch.setattr(kernels_mod, "threshold_delay_v", explode)
-        job = BatchDelayJob.from_inductance_sweep(
-            node.line, node.driver, [0.0, 3e-7],
-            h=rc_opt.h_opt, k=rc_opt.k_opt)
-        with pytest.raises(DelaySolverError,
-                           match=r"point 1 \(l = 3e-07"):
-            job.run()
-
-    def test_mismatched_lengths_rejected(self, generic_line,
-                                         generic_driver):
-        with pytest.raises(ParameterError, match="disagree"):
-            BatchDelayJob(driver=generic_driver, lines=(generic_line,),
-                          h=(1e-3, 2e-3), k=(10.0,))
-
-    def test_mixed_drivers_rejected(self, generic_line):
-        stages = [Stage(line=generic_line,
-                        driver=DriverParams(r_s=r_s, c_p=5e-15, c_0=1e-15),
-                        h=1e-3, k=10.0)
-                  for r_s in (1e4, 2e4)]
-        with pytest.raises(ParameterError, match="one driver"):
-            BatchDelayJob.from_stages(stages)
+        monkeypatch.setattr(sweep_mod, "threshold_delay_v", explode)
+        with pytest.raises(OptimizationError,
+                           match=r"point 1 \(l = 3e-07") as excinfo:
+            sweep_inductance(node.line, node.driver, [0.0, 3e-7])
+        assert (excinfo.value.iterations, excinfo.value.residual) \
+            == (7, 0.25)

@@ -12,9 +12,8 @@ import asyncio
 import pytest
 
 from repro import NODE_100NM, OptimizerMethod, units
-from repro.engine.jobs import (BatchOptimizeJob, CriticalInductanceJob,
-                               DelayJob, OptimizeJob, canonical_json,
-                               job_to_dict)
+from repro.engine.jobs import (CriticalInductanceJob, DelayJob, OptimizeJob,
+                               canonical_json, job_to_dict)
 from repro.engine.store import DiskStore
 from repro.errors import OptimizationError
 from repro.serve.protocol import (BadRequestError, EvaluationFailedError,
@@ -140,13 +139,6 @@ class TestOnePayloadPerSpec:
         assert all(isinstance(error, EvaluationFailedError)
                    for error in served)
         assert [error.message for error in served] == expected
-
-        batch = BatchOptimizeJob(
-            driver=NODE_100NM.driver, lines=tuple(job.line for job in jobs),
-            method=OptimizerMethod.NEWTON,
-            initials=tuple(job.initial for job in jobs),
-            max_iterations=3).run()
-        assert [error["error"] for error in batch["errors"]] == expected
 
 
 class TestCachePaths:
