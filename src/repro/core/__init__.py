@@ -42,7 +42,7 @@ from .params import DriverParams, LineParams, SizedDriver, Stage
 from .poles import Damping, PolePair, classify_damping, compute_poles
 from .response import StepResponse, canonical_response
 from .sensitivity import DelaySensitivities, delay_sensitivities
-from .sweep import InductanceSweep, single_optimum, sweep_inductance
+from .sweep import InductanceSweep, sweep_inductance
 from .transfer import (exact_transfer, exact_transfer_via_abcd,
                        pade_transfer, transfer_error_at)
 
@@ -65,7 +65,7 @@ __all__ = [
     "Damping", "PolePair", "classify_damping", "compute_poles",
     "StepResponse", "canonical_response",
     "DelaySensitivities", "delay_sensitivities",
-    "InductanceSweep", "single_optimum", "sweep_inductance",
+    "InductanceSweep", "sweep_inductance",
     "WireSizingResult", "line_from_geometry", "optimize_wire_width",
     "exact_transfer", "exact_transfer_via_abcd", "pade_transfer",
     "transfer_error_at",

@@ -30,7 +30,7 @@ import numpy as np
 from ..errors import DelaySolverError, OptimizationError
 from .elmore import RCOptimum, rc_optimum
 from .kernels import StageBatch, critical_inductance_v, threshold_delay_v
-from .optimize import OptimizerMethod, RepeaterOptimum, optimize_repeater
+from .optimize import OptimizerMethod
 from .params import DriverParams, LineParams
 
 
@@ -153,7 +153,7 @@ def sweep_inductance(line_zero_l: LineParams, driver: DriverParams,
     A point that fails, or whose optimum holds a non-finite number,
     raises :class:`OptimizationError` naming the point.
     """
-    from ..engine.jobs import OptimizeJob, nonfinite_path
+    from ..engine.jobs import OptimizeJob, screen_nonfinite
 
     l_array = np.asarray(list(l_values), dtype=float)
     if l_array.size == 0:
@@ -174,12 +174,9 @@ def sweep_inductance(line_zero_l: LineParams, driver: DriverParams,
         try:
             # OptimizeJob retries once from the RC optimum when the warm
             # start fails.
-            optimum = OptimizeJob(line=line, driver=driver, f=f,
-                                  method=method, initial=warm_start).run()
-            bad = nonfinite_path(optimum, "result")
-            if bad is not None:
-                raise DelaySolverError(
-                    f"job produced a non-finite value at {bad}")
+            optimum = screen_nonfinite(OptimizeJob(
+                line=line, driver=driver, f=f, method=method,
+                initial=warm_start).run())
         except Exception as exc:
             raise OptimizationError(
                 f"sweep point {i} (l = {l:.4g} H/m) failed: "
@@ -220,8 +217,3 @@ def sweep_inductance(line_zero_l: LineParams, driver: DriverParams,
                            rc_sized_delay_per_length=rc_sized_dpl,
                            methods=tuple(methods), traces=tuple(traces))
 
-
-def single_optimum(line: LineParams, driver: DriverParams, f: float = 0.5,
-                   **kwargs) -> RepeaterOptimum:
-    """Optimize a single configuration (thin convenience wrapper)."""
-    return optimize_repeater(line, driver, f, **kwargs)

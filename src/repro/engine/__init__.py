@@ -3,9 +3,11 @@
 This package turns the library's one-shot functions into a job-oriented
 batch service.  Declarative job specs (:mod:`repro.engine.jobs`) are
 content-addressed into a result store (:mod:`repro.engine.store`) and
-scheduled over a serial or process-pool backend
-(:mod:`repro.engine.executor`) with per-job fault isolation and batch
-instrumentation (:mod:`repro.engine.metrics`).  Store keys are salted
+scheduled (:mod:`repro.engine.executor`) over a serial, thread or
+process backend (:mod:`repro.engine.backends`), whose every dispatch is
+one :func:`repro.engine.jobs.run_jobs` call: per-kind batches, per-job
+fault isolation, and batch instrumentation
+(:mod:`repro.engine.metrics`).  Store keys are salted
 with a digest of the package source, so a stored result is replayed
 only against the code that computed it.  The ``repro-batch`` CLI
 (:mod:`repro.engine.cli`) evaluates JSON/CSV manifests

@@ -1,46 +1,41 @@
 """One execution plane: pluggable serial/thread/process backends.
 
-Before this module existed the repo ran paper workloads through two
-unrelated execution paths: the engine's :class:`BatchExecutor` owned a
-bespoke per-run ``ProcessPoolExecutor`` loop, while the serve layer's
-``DynamicBatcher`` dispatched every micro-batch onto the event loop's
-*default* thread pool — unbounded, anonymous, shared with any other
-``run_in_executor(None, ...)`` caller, and GIL-bound to roughly one
-core.  A :class:`Backend` is the shared seam both now plug into:
+A :class:`Backend` has one seam, :meth:`Backend.submit`: N job specs in,
+a :class:`concurrent.futures.Future` of N ordered envelopes out, made by
+one :func:`repro.engine.jobs.run_jobs` call on one worker.  The engine's
+:class:`~repro.engine.executor.BatchExecutor` submits one contiguous
+chunk of its jobs per worker and collects the chunks in order; serve's
+:class:`~repro.serve.batcher.DynamicBatcher` awaits one micro-batch per
+dispatch (``asyncio.wrap_future``).  Each backend class defines only how
+a dispatch starts (``_dispatch``); the stats, the three ``backend.*``
+fault sites and the crash translation live once, on :class:`Backend`.
 
-* :meth:`Backend.submit_batch` — the engine path: N job specs in, N
-  ordered outcome envelopes out, one :func:`_execute_job` per job;
-* :meth:`Backend.run_call_async` — the serve path: one batch-evaluator
-  call placed on one worker without blocking the event loop (the
-  evaluator itself vectorizes across its lanes).
-
-Everything *above* the seam — cache lookups, the RC re-seed retry, the
-``nonfinite_path`` screen, metrics, submission-order collection — is
-backend-agnostic, and nothing below the seam touches result payloads,
-so every backend is bitwise identical to ``SerialBackend``
-(``tests/test_backends.py`` asserts this for successes *and* captured
-failures).
+Everything *above* the seam — cache lookups, single-flight dedup,
+metrics, submission-order collection — is backend-agnostic, and nothing
+below it touches result payloads, so every backend is bitwise identical
+to ``SerialBackend`` (``tests/test_backends.py`` asserts this for
+successes *and* captured failures).
 
 Choosing a backend:
 
 * :class:`SerialBackend` — in-process, zero indirection.  Monkeypatched
-  evaluators and shared ``lru_cache`` state behave exactly as direct
+  functions and shared ``lru_cache`` state behave exactly as direct
   calls; the engine default for ``jobs=1``.
 * :class:`ThreadBackend` — a bounded, named ``ThreadPoolExecutor``.
   Keeps the event loop responsive and overlaps I/O, but numerical work
   stays GIL-bound; the serve default.
 * :class:`ProcessBackend` — persistent warm workers that survive across
-  batches (the engine's old pool was rebuilt per ``run()``).  Spawned
-  workers re-read ``REPRO_FAULTS`` at import, so a fault plan armed via
-  the environment reaches them exactly as it reached the per-run pool.
-  The pool is rebuilt (and counted in ``worker_restarts``) when a
-  worker dies mid-batch.
+  dispatches.  Spawned workers re-read ``REPRO_FAULTS`` at import, so a
+  fault plan armed via the environment reaches them.
 
 Fault sites (scenario ``backend``): ``backend.worker.hang`` stalls a
-dispatch, ``backend.dispatch.queue_full`` rejects one at submission,
-and ``backend.worker.crash`` kills the batch the way a dead worker
-does — the translated error keeps the engine's actionable
-"re-run with jobs=1" context and the pool restarts underneath it.
+dispatch before its worker starts it (drawn at submission, slept on the
+worker, so an event loop never blocks on it),
+``backend.dispatch.queue_full`` rejects one at submission, and
+``backend.worker.crash`` kills it the way a dead worker does.  A
+dispatch that loses its worker fails with the actionable "re-run with
+jobs=1" context, counts a worker restart, and a pool backend rebuilds
+its pool for the next dispatch.
 """
 
 from __future__ import annotations
@@ -48,15 +43,14 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-import traceback
 import weakref
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..faults import hooks as _faults
-from .jobs import nonfinite_path
+from .jobs import run_jobs
 from .metrics import latency_percentiles
 
 #: Selectable backend names, in the order CLIs advertise them.
@@ -66,69 +60,30 @@ BACKEND_NAMES = ("serial", "thread", "process")
 DISPATCH_WAIT_WINDOW = 4096
 
 
-# ----------------------------------------------------------------------
-# The unit of execution (shared by every backend).
-# ----------------------------------------------------------------------
-def _execute_job(job: Any) -> Dict[str, Any]:
-    """Evaluate one job, never raising — the unit of fault isolation.
+def _dispatched(jobs: List[Any], pause: float, submitted: float) -> tuple:
+    """A worker's side of one dispatch: ``(wait, run_jobs(jobs))``.
 
-    Module-level so it pickles for the process backend.  Returns an
-    envelope ``{"ok", "result" | ("error", "error_type", "traceback"),
-    "wall_time"}``.
-
-    A result containing a non-finite number anywhere, its optimizer
-    ``trace`` included, is reported as that job's *failure*, not a
-    success: a NaN that slipped out of a solver must never be cached or
-    summarized as an answer (the serve layer applies the same screen per
-    lane).  A trace writes an undefined value as ``None``, so a healthy
-    trace passes.
+    Module-level so it pickles for the process backend.  ``wait`` is
+    the dispatch wait against the wall clock read at submission
+    (``perf_counter`` is not comparable across processes); ``pause`` is
+    a ``backend.worker.hang`` stall drawn at submission.
     """
-    start = time.perf_counter()
-    try:
-        if _faults.ACTIVE is not None:
-            _faults.sleep("executor.job.hang")
-            _faults.fire("executor.job.error", kind=job.kind)
-        result = job.run()
-    except Exception as exc:  # noqa: BLE001 — isolate *any* job failure
-        return {"ok": False,
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-                "traceback": traceback.format_exc(),
-                "wall_time": time.perf_counter() - start}
-    bad = nonfinite_path(result, "result")
-    if bad is not None:
-        return {"ok": False,
-                "error": f"job produced a non-finite value at {bad} "
-                         f"(solver escape; result not cached)",
-                "error_type": "DelaySolverError",
-                "traceback": "",
-                "wall_time": time.perf_counter() - start}
-    return {"ok": True, "result": result,
-            "wall_time": time.perf_counter() - start}
+    wait = max(0.0, time.time() - submitted)
+    if pause > 0.0:
+        time.sleep(pause)
+    return wait, run_jobs(jobs)
 
 
 def _warm_worker() -> None:
     """Process-pool initializer: pre-import the job layer.
 
     Every worker pays the numpy/repro import exactly once, at pool
-    start, in parallel — instead of serially on its first dispatched
-    chunk.  Spawned workers also re-run the fault plane's
-    ``REPRO_FAULTS`` environment activation at that import, which is
-    how they inherit the parent's env-armed plan.
+    start, in parallel — instead of serially on its first dispatch.
+    Spawned workers also re-run the fault plane's ``REPRO_FAULTS``
+    environment activation at that import, which is how they inherit
+    the parent's env-armed plan.
     """
     import repro.engine.jobs  # noqa: F401
-
-
-def _timed_call(fn: Callable[[Sequence[Any]], List[Dict[str, Any]]],
-                batch: Sequence[Any], submitted_wall: float) -> tuple:
-    """Run one evaluator call in a worker, reporting its dispatch wait.
-
-    ``perf_counter`` is not comparable across processes, so the wait is
-    measured against wall-clock time captured at submission — coarse,
-    but honest about cross-process queueing.
-    """
-    wait = max(0.0, time.time() - submitted_wall)
-    return wait, fn(list(batch))
 
 
 # ----------------------------------------------------------------------
@@ -138,13 +93,12 @@ class BackendStats:
     """Thread-safe dispatch accounting one backend instance carries.
 
     ``dispatches``/``lanes`` count submitted work, ``in_flight`` the
-    batches currently between submission and completion, and
-    ``worker_restarts`` the times a broken process pool was rebuilt.
-    Dispatch-wait samples (seconds between submitting a batch and a
-    worker starting it) feed the p50/p95 the ``/metrics`` endpoint and
-    ``BatchMetrics.format_summary`` report; the chunked process map
-    path records its dispatches without a wait sample rather than
-    perturb every chunk with a timing wrapper.
+    dispatches currently between submission and completion, and
+    ``worker_restarts`` the dispatches that lost their worker (a pool
+    backend then rebuilds its pool).  Dispatch-wait samples (seconds
+    between submitting a dispatch and a worker starting it) feed the
+    p50/p95 the ``/metrics`` endpoint and
+    ``BatchMetrics.format_summary`` report.
     """
 
     def __init__(self) -> None:
@@ -200,12 +154,11 @@ class BackendStats:
 # The backend protocol.
 # ----------------------------------------------------------------------
 class Backend:
-    """Base execution backend: lifecycle, stats, and the two seams.
+    """Base execution backend: lifecycle, stats and the one seam.
 
-    Subclasses implement :meth:`submit_batch` (engine: one envelope per
-    job) and :meth:`run_call_async` (serve: one evaluator call on one
-    worker).  ``start``/``close`` are idempotent; an unclosed backend's
-    pool is reclaimed by a ``weakref`` finalizer.
+    Subclasses implement ``_dispatch(fn, *args) -> Future``: start
+    ``fn(*args)`` on one worker.  ``start``/``close`` are idempotent; an
+    unclosed backend's pool is reclaimed by a ``weakref`` finalizer.
     """
 
     name = "backend"
@@ -227,6 +180,9 @@ class Backend:
     def close(self) -> None:
         """Shut workers down; in-flight dispatches complete first."""
         self._close_io_pool()
+
+    def _discard_pool(self, *, wait: bool) -> None:
+        """Drop the worker pool so the next dispatch builds a fresh one."""
 
     def _close_io_pool(self) -> None:
         with self._io_lock:
@@ -250,29 +206,75 @@ class Backend:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- the seams -------------------------------------------------------
-    def submit_batch(self, jobs: Sequence[Any], *,
-                     chunksize: Optional[int] = None
-                     ) -> List[Dict[str, Any]]:
-        """Evaluate N job specs; N ordered ``_execute_job`` envelopes."""
+    # -- the seam --------------------------------------------------------
+    def submit(self, jobs: Sequence[Any]) -> Future:
+        """Run ``run_jobs(jobs)`` on one worker; a future of its envelopes.
+
+        Never raises: a refused or crashed dispatch fails the future.
+        The future cannot be cancelled once submitted.
+        """
+        jobs = list(jobs)
+        done: Future = Future()
+        done.set_running_or_notify_cancel()
+        self.stats.dispatch_started(len(jobs))
+        try:
+            pause = 0.0
+            if _faults.ACTIVE is not None:
+                pause = _faults.delay_duration("backend.worker.hang")
+                _faults.fire("backend.dispatch.queue_full",
+                             backend=self.name)
+                _faults.fire("backend.worker.crash", backend=self.name)
+            started = self._dispatch(_dispatched, jobs, pause, time.time())
+        except Exception as exc:  # noqa: BLE001 — delivered via the future
+            started = Future()
+            started.set_exception(exc)
+        started.add_done_callback(
+            lambda future: self._settle(future, done, len(jobs)))
+        return done
+
+    def _dispatch(self, fn: Callable[..., Any], *args: Any) -> Future:
         raise NotImplementedError
 
-    async def run_call_async(self, fn: Callable[[Sequence[Any]],
-                                                List[Dict[str, Any]]],
-                             batch: Sequence[Any]) -> List[Dict[str, Any]]:
-        """Run one evaluator call on one worker without blocking the
-        event loop (except on :class:`SerialBackend`, which is inline by
-        design)."""
-        raise NotImplementedError
+    def _settle(self, started: Future, done: Future, n_jobs: int) -> None:
+        """Finish one dispatch's stats, then resolve its future."""
+        try:
+            wait, envelopes = started.result()
+        except BrokenProcessPool as exc:
+            self.stats.dispatch_finished()
+            self.stats.worker_restarted()
+            self._discard_pool(wait=False)
+            error = self._crash_error(n_jobs, exc)
+            error.__cause__ = exc
+            done.set_exception(error)
+        except BaseException as exc:  # noqa: BLE001 — delivered as is
+            self.stats.dispatch_finished()
+            done.set_exception(exc)
+        else:
+            self.stats.dispatch_finished(wait=wait)
+            done.set_result(envelopes)
+
+    def _crash_error(self, n_jobs: int,
+                     exc: BaseException) -> RuntimeError:
+        """Actionable error for a dispatch whose worker died hard.
+
+        Per-job fault isolation cannot name the culprit of a killed
+        worker, so the dispatch fails loud with recovery context
+        instead of a bare pool traceback.
+        """
+        return RuntimeError(
+            f"{self.name} backend lost a worker while evaluating "
+            f"{n_jobs} job{'s' if n_jobs != 1 else ''} with "
+            f"{self.workers} workers (a worker died mid-batch); re-run "
+            f"with jobs=1 to isolate the failing job: {exc}")
 
     # -- auxiliary I/O ----------------------------------------------------
     def _io_submit(self, fn: Callable[[], Any]) -> Any:
         """Place one small blocking call on the auxiliary I/O thread.
 
         The I/O lane is deliberately *not* the dispatch pool: store
-        reads must not queue behind long evaluator calls (and the
-        process backend could not ship a closure to a worker anyway).
-        One thread is enough — the calls are sub-millisecond file
+        reads must not queue behind long evaluations (and the process
+        backend could not ship a closure to a worker anyway).  One
+        thread is enough — the calls are sub-millisecond file
         reads/writes — and it is created lazily so backends that never
         serve async callers pay nothing.
         """
@@ -310,49 +312,13 @@ class Backend:
         snapshot["queued"] = max(0, snapshot["in_flight"] - self.workers)
         return snapshot
 
-    # -- fault-site guards (shared by every backend) ---------------------
-    def _guard(self) -> None:
-        """Blocking dispatch guard: hang stall + queue-full rejection."""
-        if _faults.ACTIVE is None:
-            return
-        _faults.sleep("backend.worker.hang")
-        _faults.fire("backend.dispatch.queue_full", backend=self.name)
-
-    async def _guard_async(self) -> None:
-        """Event-loop dispatch guard (the stall must not block the loop)."""
-        if _faults.ACTIVE is None:
-            return
-        pause = _faults.delay_duration("backend.worker.hang")
-        if pause > 0.0:
-            await asyncio.sleep(pause)
-        _faults.fire("backend.dispatch.queue_full", backend=self.name)
-
-    def _fire_crash(self) -> None:
-        if _faults.ACTIVE is not None:
-            _faults.fire("backend.worker.crash", backend=self.name)
-
-    def _crash_error(self, n_jobs: int,
-                     exc: BaseException) -> RuntimeError:
-        """Actionable whole-batch error for a worker that died hard.
-
-        Per-job fault isolation cannot name the culprit of a killed
-        worker, so the batch fails loud with recovery context instead
-        of a bare pool traceback.
-        """
-        return RuntimeError(
-            f"{self.name} backend lost a worker while evaluating "
-            f"{n_jobs} jobs with {self.workers} workers (a worker died "
-            f"mid-batch); re-run with jobs=1 to isolate the failing "
-            f"job: {exc}")
-
 
 class SerialBackend(Backend):
     """Inline in-process execution — the monkeypatch-friendly default.
 
-    ``submit_batch`` is a plain loop and ``run_call_async`` a direct
-    call, so patched evaluators and shared memo state behave exactly as
-    direct function calls.  Dispatch wait is a true
-    0.0: the caller's thread *is* the worker.
+    A dispatch runs in the caller's thread and returns a completed
+    future, so patched functions and shared memo state behave exactly
+    as direct calls, and the dispatch wait is only the call overhead.
     """
 
     name = "serial"
@@ -361,31 +327,10 @@ class SerialBackend(Backend):
         self.stats.record_io()
         return fn()
 
-    def submit_batch(self, jobs: Sequence[Any], *,
-                     chunksize: Optional[int] = None
-                     ) -> List[Dict[str, Any]]:
-        self._guard()
-        self.stats.dispatch_started(len(jobs))
-        try:
-            self._fire_crash()
-            return [_execute_job(job) for job in jobs]
-        except BrokenProcessPool as exc:
-            raise self._crash_error(len(jobs), exc) from exc
-        finally:
-            self.stats.dispatch_finished(wait=0.0)
-
-    async def run_call_async(self, fn: Callable[[Sequence[Any]],
-                                                List[Dict[str, Any]]],
-                             batch: Sequence[Any]) -> List[Dict[str, Any]]:
-        await self._guard_async()
-        self.stats.dispatch_started(len(batch))
-        try:
-            self._fire_crash()
-            return fn(list(batch))
-        except BrokenProcessPool as exc:
-            raise self._crash_error(len(batch), exc) from exc
-        finally:
-            self.stats.dispatch_finished(wait=0.0)
+    def _dispatch(self, fn: Callable[..., Any], *args: Any) -> Future:
+        future: Future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class _PoolBackend(Backend):
@@ -408,16 +353,18 @@ class _PoolBackend(Backend):
         raise NotImplementedError
 
     def start(self) -> None:
+        self._live_pool()
+
+    def _live_pool(self) -> Any:
         with self._pool_lock:
             if self._pool is None:
                 self._pool = self._build_pool()
                 self._finalizer = weakref.finalize(
                     self, _shutdown_pool_quietly, self._pool)
+            return self._pool
 
-    def _ensure_pool(self) -> Any:
-        self.start()
-        assert self._pool is not None
-        return self._pool
+    def _dispatch(self, fn: Callable[..., Any], *args: Any) -> Future:
+        return self._live_pool().submit(fn, *args)
 
     def _discard_pool(self, *, wait: bool) -> None:
         with self._pool_lock:
@@ -472,75 +419,17 @@ class ThreadBackend(_PoolBackend):
             max_workers=self._workers,
             thread_name_prefix=self._thread_name_prefix)
 
-    def submit_batch(self, jobs: Sequence[Any], *,
-                     chunksize: Optional[int] = None
-                     ) -> List[Dict[str, Any]]:
-        self._guard()
-        pool = self._ensure_pool()
-        self.stats.dispatch_started(len(jobs))
-        submitted = time.perf_counter()
-        first_start: List[float] = []
-
-        def run_one(index: int, job: Any) -> Dict[str, Any]:
-            if index == 0:
-                first_start.append(time.perf_counter())
-            return _execute_job(job)
-
-        try:
-            self._fire_crash()
-            envelopes = list(pool.map(run_one, range(len(jobs)), jobs))
-        except BrokenProcessPool as exc:
-            self.stats.dispatch_finished()
-            raise self._crash_error(len(jobs), exc) from exc
-        except BaseException:
-            self.stats.dispatch_finished()
-            raise
-        wait = (first_start[0] - submitted) if first_start else 0.0
-        self.stats.dispatch_finished(wait=max(0.0, wait))
-        return envelopes
-
-    async def run_call_async(self, fn: Callable[[Sequence[Any]],
-                                                List[Dict[str, Any]]],
-                             batch: Sequence[Any]) -> List[Dict[str, Any]]:
-        await self._guard_async()
-        future, submitted = self._submit_call(fn, batch)
-        try:
-            self._fire_crash()
-            started, envelopes = await asyncio.wrap_future(future)
-        except BrokenProcessPool as exc:
-            self.stats.dispatch_finished()
-            raise self._crash_error(len(batch), exc) from exc
-        except BaseException:
-            self.stats.dispatch_finished()
-            raise
-        self.stats.dispatch_finished(wait=max(0.0, started - submitted))
-        return envelopes
-
-    def _submit_call(self, fn: Callable[[Sequence[Any]],
-                                        List[Dict[str, Any]]],
-                     batch: Sequence[Any]) -> tuple:
-        pool = self._ensure_pool()
-        jobs = list(batch)
-        self.stats.dispatch_started(len(jobs))
-        submitted = time.perf_counter()
-
-        def run() -> tuple:
-            return time.perf_counter(), fn(jobs)
-
-        return pool.submit(run), submitted
-
 
 class ProcessBackend(_PoolBackend):
-    """Persistent warm process workers that survive across batches.
+    """Persistent warm process workers that survive across dispatches.
 
-    The engine's old pool was rebuilt for every ``run()``; here spawn
-    and import costs are paid once and amortized over every later
-    batch — the property the optimize-heavy serve benchmark measures.
-    Workers are spawned with the parent's environment, so an env-armed
-    ``REPRO_FAULTS`` plan activates inside them at import exactly as it
-    did in the per-run pool.  When a worker dies mid-batch the batch
-    fails loud (``re-run with jobs=1`` context) and the pool is rebuilt
-    for the next dispatch, counted in ``worker_restarts``.
+    Spawn and import costs are paid once and amortized over every later
+    dispatch — the property the optimize-heavy serve benchmark
+    measures.  Workers are spawned with the parent's environment, so an
+    env-armed ``REPRO_FAULTS`` plan activates inside them at import.
+    When a worker dies mid-dispatch the dispatch fails loud (``re-run
+    with jobs=1`` context) and the pool is rebuilt for the next one,
+    counted in ``worker_restarts``.
     """
 
     name = "process"
@@ -549,55 +438,10 @@ class ProcessBackend(_PoolBackend):
         return ProcessPoolExecutor(max_workers=self._workers,
                                    initializer=_warm_worker)
 
-    def _handle_broken(self, n_jobs: int,
-                       exc: BaseException) -> RuntimeError:
-        self.stats.worker_restarted()
-        self._discard_pool(wait=False)
-        return self._crash_error(n_jobs, exc)
-
-    def submit_batch(self, jobs: Sequence[Any], *,
-                     chunksize: Optional[int] = None
-                     ) -> List[Dict[str, Any]]:
-        self._guard()
-        pool = self._ensure_pool()
-        chunk = chunksize or max(1, len(jobs) // (4 * self._workers))
-        self.stats.dispatch_started(len(jobs))
-        try:
-            if _faults.ACTIVE is not None:
-                _faults.fire("executor.pool.broken")
-            self._fire_crash()
-            return list(pool.map(_execute_job, jobs, chunksize=chunk))
-        except BrokenProcessPool as exc:
-            raise self._handle_broken(len(jobs), exc) from exc
-        finally:
-            # No per-chunk wait sample: timing every pickled chunk
-            # would perturb the map path it is meant to observe.
-            self.stats.dispatch_finished()
-
-    async def run_call_async(self, fn: Callable[[Sequence[Any]],
-                                                List[Dict[str, Any]]],
-                             batch: Sequence[Any]) -> List[Dict[str, Any]]:
-        await self._guard_async()
-        future = self._submit_call(fn, batch)
-        try:
-            self._fire_crash()
-            wait, envelopes = await asyncio.wrap_future(future)
-        except BrokenProcessPool as exc:
-            self.stats.dispatch_finished()
-            raise self._handle_broken(len(batch), exc) from exc
-        except BaseException:
-            self.stats.dispatch_finished()
-            raise
-        self.stats.dispatch_finished(wait=wait)
-        return envelopes
-
-    def _submit_call(self, fn: Callable[[Sequence[Any]],
-                                        List[Dict[str, Any]]],
-                     batch: Sequence[Any]) -> Any:
-        pool = self._ensure_pool()
-        jobs = list(batch)
-        self.stats.dispatch_started(len(jobs))
-        return pool.submit(_timed_call, fn, jobs, time.time())
+    def _dispatch(self, fn: Callable[..., Any], *args: Any) -> Future:
+        if _faults.ACTIVE is not None:
+            _faults.fire("executor.pool.broken")
+        return super()._dispatch(fn, *args)
 
 
 # ----------------------------------------------------------------------

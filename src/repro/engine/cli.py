@@ -41,9 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("manifest", help="path to the job manifest")
     run_parser.add_argument("--jobs", type=int, default=1, metavar="N",
                             help="worker processes (1 = serial in-process)")
-    run_parser.add_argument("--chunksize", type=int, default=None,
-                            metavar="N",
-                            help="jobs per worker dispatch (pool backend)")
     run_parser.add_argument("--backend", choices=BACKEND_NAMES,
                             default=None,
                             help="execution backend (default: serial "
@@ -93,10 +90,6 @@ def _run(args: argparse.Namespace) -> int:
         print(f"repro-batch: --jobs must be >= 1, got {args.jobs}",
               file=sys.stderr)
         return 2
-    if args.chunksize is not None and args.chunksize < 1:
-        print(f"repro-batch: --chunksize must be >= 1, got "
-              f"{args.chunksize}", file=sys.stderr)
-        return 2
     try:
         job_specs = load_manifest(args.manifest)
     except ManifestError as exc:
@@ -111,7 +104,6 @@ def _run(args: argparse.Namespace) -> int:
             print(f"repro-batch: {exc}", file=sys.stderr)
             return 2
     with BatchExecutor(jobs=args.jobs, cache=cache,
-                       chunksize=args.chunksize,
                        backend=args.backend) as executor:
         report = executor.run(job_specs)
 

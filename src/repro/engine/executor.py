@@ -2,26 +2,28 @@
 
 The executor turns a sequence of job specs into an ordered sequence of
 :class:`JobOutcome` records.  Everything that decides *what* runs and
-what the results mean — cache lookups, the RC-reseed retry (in the job
-specs), the non-finite screen, submission-order collection, metrics —
-lives here, *above* the backend seam; the
-:class:`repro.engine.backends.Backend` below it only moves envelopes.
+what the results mean — cache lookups, single-flight dedup,
+submission-order collection, metrics — lives here, *above* the backend
+seam; below it, :func:`repro.engine.jobs.run_jobs` evaluates each
+dispatched chunk (batching lanes per kind, applying the RC re-seed
+retry and the non-finite screen) and the
+:class:`repro.engine.backends.Backend` only moves envelopes.
 Guarantees:
 
 * **Determinism** — results are collected in submission order and the
   result payloads contain no wall-clock data, so ``jobs=4`` is bitwise
-  identical to ``jobs=1`` on every backend.  The ``wall_time`` the
-  ``_execute_job`` envelope carries is *metrics-only*: it feeds
-  ``JobMetrics`` and never enters the cached payload,
-  ``JobOutcome.to_payload()`` or result equality (asserted by
-  ``tests/test_engine_executor.py`` and the parity suite in
-  ``tests/test_backends.py``).
-* **Fault isolation** — a job that raises (``OptimizationError``,
-  convergence failure, bad parameters, ...) is reported failed with its
-  captured traceback; the rest of the batch completes.  The bounded
-  RC-optimum re-seed retry for optimizer jobs lives in the job spec
-  itself (:class:`repro.engine.jobs.OptimizeJob`), so every backend
-  applies the same recovery.
+  identical to ``jobs=1`` on every backend: a lane's payload does not
+  depend on which lanes share its dispatch.  The ``wall_time`` an
+  envelope carries is *metrics-only*: it feeds ``JobMetrics`` and never
+  enters the cached payload, ``JobOutcome.to_payload()`` or result
+  equality (asserted by ``tests/test_engine_executor.py`` and the
+  parity suite in ``tests/test_backends.py``).
+* **Fault isolation** — a job that fails (``OptimizationError``,
+  convergence failure, bad parameters, a non-finite result, ...) is
+  reported failed with its captured traceback; the rest of the batch
+  completes.  The bounded RC-optimum re-seed retry for optimizer jobs
+  lives in the job layer (:class:`repro.engine.jobs.OptimizeJob`), so
+  every backend applies the same recovery.
 * **Caching** — with a :class:`repro.engine.store.ResultStore` attached
   (disk, memory, or tiered — see :func:`repro.engine.store.make_store`),
   hits are served in-process without dispatching work and fresh
@@ -36,14 +38,16 @@ Guarantees:
 The serial backend (``jobs=1``, the default) runs everything in-process:
 monkeypatching and shared ``lru_cache`` state behave exactly as direct
 function calls.  ``jobs=N`` selects the persistent process backend,
-whose warm workers survive across ``run()`` calls; an executor that
-built its own backend owns it — ``close()`` (or the context-manager
-form) shuts the workers down.
+whose warm workers survive across ``run()`` calls, and dispatches one
+contiguous chunk of the leaders per worker; an executor that built its
+own backend owns it — ``close()`` (or the context-manager form) shuts
+the workers down.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -132,11 +136,6 @@ class BatchExecutor:
     cache:
         Optional result cache consulted before evaluating and updated
         with fresh successes.
-    chunksize:
-        Jobs handed to a process worker per pickle round-trip.  Defaults
-        to ``max(1, pending // (4 * jobs))`` which keeps all workers
-        busy while amortizing IPC for large batches.  Ignored by the
-        serial and thread backends.
     backend:
         A name from :data:`repro.engine.backends.BACKEND_NAMES`
         (``serial``/``thread``/``process``) or a live
@@ -152,16 +151,12 @@ class BatchExecutor:
     """
 
     def __init__(self, jobs: int = 1, *, cache: Optional[ResultStore] = None,
-                 chunksize: Optional[int] = None,
                  backend: Optional[Union[str, Backend]] = None,
                  flights: Optional[SingleFlight] = None) -> None:
         if jobs < 1:
             raise ValueError(f"worker count must be >= 1, got {jobs}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.jobs = jobs
         self.cache = cache
-        self.chunksize = chunksize
         self.flights = flights if flights is not None else SingleFlight()
         self._owns_backend = not isinstance(backend, Backend)
         if backend is None:
@@ -214,9 +209,10 @@ class BatchExecutor:
         # spec hash.  Duplicate specs in this batch — and identical
         # specs a racing executor sharing this flight table already
         # has in the air — follow the leader's envelope instead of
-        # dispatching their own evaluation.  Leaders are dispatched as
-        # one batch (collection order unchanged), so jobs=N stays
-        # bitwise identical to jobs=1.
+        # dispatching their own evaluation.  Leaders are dispatched in
+        # per-worker chunks and collected in order; a lane's payload does
+        # not depend on its chunk, so jobs=N stays bitwise identical to
+        # jobs=1.
         leaders: List[int] = []
         leader_flights: Dict[int, Flight] = {}
         followers: List[tuple] = []
@@ -293,9 +289,16 @@ class BatchExecutor:
     # The backend seam.
     # ------------------------------------------------------------------
     def _evaluate(self, job_list: List[Any]) -> List[Dict[str, Any]]:
+        """One contiguous chunk per worker, collected in order once every
+        chunk is done (the first failed dispatch then raises)."""
         if not job_list:
             return []
-        return self.backend.submit_batch(job_list, chunksize=self.chunksize)
+        size = -(-len(job_list) // self.backend.workers)
+        futures = [self.backend.submit(job_list[at:at + size])
+                   for at in range(0, len(job_list), size)]
+        wait(futures)
+        return [envelope for future in futures
+                for envelope in future.result()]
 
     def _outcome_from_envelope(self, job: Any, envelope: Dict[str, Any],
                                *, deduped: bool = False) -> JobOutcome:

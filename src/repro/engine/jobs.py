@@ -13,6 +13,14 @@ nondeterministic fields, so a batch run with ``--jobs 4`` is bitwise
 identical to a serial one and a cached replay is bitwise identical to a
 fresh evaluation.
 
+:func:`run_jobs` is the engine's one unit of execution: every backend
+dispatch of ``repro-batch``, ``repro-experiments``, ``repro-verify`` and
+``repro-serve`` is one call of it.  It runs the lanes of
+:class:`DelayJob`, :class:`CriticalInductanceJob` and
+:class:`OptimizeJob` through their kind's ``run_many`` (vector kernels
+and the lockstep optimizer), so a lane's payload is the same at every
+batch size and on every entry point; their ``run()`` is the N = 1 call.
+
 The kinds are :class:`DelayJob`, :class:`CriticalInductanceJob`,
 :class:`OptimizeJob`, :class:`SweepJob`, :class:`TransientJob` and
 :class:`ExperimentJob` here, plus :class:`repro.verify.jobs.VerifyJob`.
@@ -26,18 +34,26 @@ from __future__ import annotations
 
 import json
 import math
+import time
+import traceback
 from dataclasses import dataclass
-from typing import (Any, ClassVar, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, ClassVar, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core.critical import critical_inductance
 from ..core.delay import threshold_delay
 from ..core.elmore import rc_optimum
+from ..core.kernels import (StageBatch, critical_inductance_v,
+                            threshold_delay_v)
 from ..core.optimize import (OptimizerMethod, RepeaterOptimum,
                              optimize_repeater, optimize_repeater_many)
 from ..core.params import DriverParams, LineParams, Stage
-from ..errors import OptimizationError, ParameterError
+from ..errors import DelaySolverError, OptimizationError, ParameterError
 from ..faults import hooks as _faults
+
+#: Lanes per ``run_many`` call, in the engine and in serve's micro-batches.
+#: It bounds a call's memory; a lane's payload does not depend on it.
+DEFAULT_MAX_BATCH_SIZE = 64
 
 
 def canonical_json(obj: Any) -> str:
@@ -83,11 +99,12 @@ def jsonify(obj: Any) -> Any:
 def nonfinite_path(value: Any, path: str = "") -> Optional[str]:
     """Dotted path of the first non-finite number in ``value``, or ``None``.
 
-    The one screen for NaN/inf on every payload path: engine job
-    results, served lanes and request documents, each walked whole.  No
-    electrical parameter or answer is legitimately non-finite, and
-    strict JSON cannot carry one; an undefined value is ``None`` (an
-    optimizer trace writes a probe's NaN residual that way).
+    The one walk for NaN/inf on every payload path: lane results
+    (through :func:`screen_nonfinite`), manifest entries and request
+    documents, each walked whole.  No electrical parameter or answer is
+    legitimately non-finite, and strict JSON cannot carry one; an
+    undefined value is ``None`` (an optimizer trace writes a probe's NaN
+    residual that way).
     """
     if isinstance(value, float):
         return None if math.isfinite(value) else path
@@ -103,6 +120,21 @@ def nonfinite_path(value: Any, path: str = "") -> Optional[str]:
             if found is not None:
                 return found
     return None
+
+
+def screen_nonfinite(result: Dict[str, Any]) -> Dict[str, Any]:
+    """Return ``result``, or raise if it holds a non-finite number.
+
+    The one non-finite screen of every lane :func:`run_jobs` evaluates
+    and of every :func:`repro.core.sweep.sweep_inductance` point, with
+    one failure text: a NaN that slipped out of a solver is that lane's
+    failure, never a cached or served answer.
+    """
+    bad = nonfinite_path(result, "result")
+    if bad is not None:
+        raise DelaySolverError(f"job produced a non-finite value at {bad} "
+                               f"(solver escape; result not cached)")
+    return result
 
 
 def flag_of(data: Dict[str, Any], key: str, default: bool) -> bool:
@@ -141,8 +173,57 @@ def driver_from_dict(data: Dict[str, float]) -> DriverParams:
                         c_0=float(data["c_0"]))
 
 
+def _outcome(run: Callable[[], Any]) -> Any:
+    """``run()``, or the exception it raised: one lane's outcome."""
+    try:
+        return run()
+    except Exception as exc:  # noqa: BLE001 — isolate the lane
+        return exc
+
+
+def _batched(jobs: Sequence[Any], kernel: Callable[[Sequence[Any]], Any]
+             ) -> Optional[Any]:
+    """``kernel(jobs)`` for two or more lanes, else ``None``.
+
+    ``None`` also stands for a batch the kernel refused (one bad lane
+    fails batch validation).  The caller then runs each lane's scalar
+    path, the N = 1 form of the same kernel, so only a bad lane fails.
+    """
+    if len(jobs) < 2:
+        return None
+    try:
+        return kernel(jobs)
+    except Exception:  # noqa: BLE001 — isolate per lane via solo path
+        return None
+
+
+def _stage_batch(jobs: Sequence[Any]) -> StageBatch:
+    """Pack delay/critical jobs' stages into one kernel batch."""
+    return StageBatch.from_arrays(
+        r=[job.line.r for job in jobs],
+        l=[job.line.l for job in jobs],
+        c=[job.line.c for job in jobs],
+        r_s=[job.driver.r_s for job in jobs],
+        c_p=[job.driver.c_p for job in jobs],
+        c_0=[job.driver.c_0 for job in jobs],
+        h=[job.h for job in jobs],
+        k=[job.k for job in jobs])
+
+
+class _Lanes:
+    """``run()`` of a kind that evaluates N specs in one call: the N = 1
+    call of its ``run_many``, which returns a result or the exception
+    per lane."""
+
+    def run(self) -> Dict[str, Any]:
+        (outcome,) = type(self).run_many([self])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
 @dataclass(frozen=True)
-class DelayJob:
+class DelayJob(_Lanes):
     """Threshold-delay solve of one fully specified stage (paper Eq. 3)."""
 
     kind: ClassVar[str] = "delay"
@@ -161,15 +242,45 @@ class DelayJob:
                 "h": self.h, "k": self.k, "f": self.f,
                 "polish_with_newton": self.polish_with_newton}
 
-    def run(self) -> Dict[str, Any]:
+    def _payload(self, tau: float, damping: str,
+                 newton_iterations: int) -> Dict[str, Any]:
+        return {"tau": tau,
+                "delay_per_length": tau / self.h,
+                "threshold": float(self.f),
+                "damping": damping,
+                "newton_iterations": newton_iterations}
+
+    def _solo(self) -> Dict[str, Any]:
+        """The scalar solve (and the paper's Newton polish, if asked)."""
         stage = Stage(line=self.line, driver=self.driver, h=self.h, k=self.k)
         delay = threshold_delay(stage, self.f,
                                 polish_with_newton=self.polish_with_newton)
-        return {"tau": delay.tau,
-                "delay_per_length": delay.tau / self.h,
-                "threshold": delay.threshold,
-                "damping": delay.damping.value,
-                "newton_iterations": delay.newton_iterations}
+        return self._payload(delay.tau, delay.damping.value,
+                             delay.newton_iterations)
+
+    @classmethod
+    def run_many(cls, jobs: Sequence["DelayJob"]
+                 ) -> List[Union[Dict[str, Any], Exception]]:
+        """N delay solves; the unpolished lanes as one ``threshold_delay_v``.
+
+        A lane's payload is bitwise the scalar solve's.  Polished lanes
+        (``polish_with_newton``, which only manifests set) run the
+        scalar :func:`~repro.core.delay.threshold_delay`, as does a lone
+        lane and every lane of a batch the kernel refuses.
+        """
+        plain = [i for i, job in enumerate(jobs)
+                 if not job.polish_with_newton]
+        solved = _batched([jobs[i] for i in plain], lambda batch:
+                          threshold_delay_v(_stage_batch(batch),
+                                            [job.f for job in batch]))
+        results: List[Any] = [None] * len(jobs)
+        if solved is not None:
+            damping = solved.damping_values()
+            for lane, i in enumerate(plain):
+                results[i] = jobs[i]._payload(float(solved.tau[lane]),
+                                              damping[lane].value, 0)
+        return [result if result is not None else _outcome(job._solo)
+                for result, job in zip(results, jobs)]
 
     def summary(self, result: Dict[str, Any]) -> str:
         return (f"tau={result['tau']:.6g}s "
@@ -186,7 +297,7 @@ class DelayJob:
 
 
 @dataclass(frozen=True)
-class CriticalInductanceJob:
+class CriticalInductanceJob(_Lanes):
     """Eq. 4 critical-inductance query of one (h, k) configuration.
 
     Returns the line inductance per unit length that would make the
@@ -195,8 +306,8 @@ class CriticalInductanceJob:
     i.e. the configuration is underdamped even at l = 0).  The scalar
     :func:`repro.core.critical.critical_inductance` and the batched
     :func:`repro.core.kernels.critical_inductance_v` share one
-    expression graph, so the serve layer may answer this job from a
-    vectorized batch bitwise identically to ``run()``.
+    expression graph, so a lane of :meth:`run_many` is bitwise the
+    scalar answer.
     """
 
     kind: ClassVar[str] = "critical_inductance"
@@ -212,12 +323,26 @@ class CriticalInductanceJob:
                 "driver": driver_to_dict(self.driver),
                 "h": self.h, "k": self.k}
 
-    def run(self) -> Dict[str, Any]:
-        stage = Stage(line=self.line, driver=self.driver, h=self.h, k=self.k)
-        l_crit = critical_inductance(stage)
+    def _payload(self, l_crit: float) -> Dict[str, Any]:
         margin = (self.line.l / l_crit) if l_crit > 0.0 else None
         return {"l_crit": l_crit, "l": self.line.l,
                 "damping_margin": margin}
+
+    def _solo(self) -> Dict[str, Any]:
+        stage = Stage(line=self.line, driver=self.driver, h=self.h, k=self.k)
+        return self._payload(critical_inductance(stage))
+
+    @classmethod
+    def run_many(cls, jobs: Sequence["CriticalInductanceJob"]
+                 ) -> List[Union[Dict[str, Any], Exception]]:
+        """N queries as one ``critical_inductance_v`` call (a lone lane,
+        or each lane of a refused batch, runs the scalar query)."""
+        l_crit = _batched(jobs, lambda batch: critical_inductance_v(
+            _stage_batch(batch)))
+        if l_crit is None:
+            return [_outcome(job._solo) for job in jobs]
+        return [job._payload(float(value))
+                for job, value in zip(jobs, l_crit)]
 
     def summary(self, result: Dict[str, Any]) -> str:
         margin = result["damping_margin"]
@@ -266,9 +391,8 @@ def reseed_failed_lanes(jobs: Sequence["OptimizeJob"],
     given (``initial`` set, ``retry_reseed`` true) re-runs once from
     the closed-form RC optimum (the Elmore optimum ignores l, so this is
     the l = 0 seed); all such lanes share one more lockstep call on
-    fresh evaluators.  ``OptimizeJob`` and the serve layer's optimize
-    batches both finish through here, so the same failed spec reports
-    the same error on every entry point.
+    fresh evaluators.  Every optimize lane finishes through here, so the
+    same failed spec reports the same error on every entry point.
 
     Returns, per lane, its :func:`_optimum_payload` (``retried`` true
     when the re-seed produced it) or its exception.
@@ -307,8 +431,48 @@ def reseed_failed_lanes(jobs: Sequence["OptimizeJob"],
     return results
 
 
+def _first_pass(jobs: Sequence["OptimizeJob"]
+                ) -> List[Union[RepeaterOptimum, Exception]]:
+    """First-pass outcomes of one optimize group, from each warm start:
+    one ``optimize_repeater_many`` call, or each lane's own
+    ``optimize_repeater`` (its N = 1 call) when the lane is alone or the
+    call raises.
+
+    Two named fault sites act per lane here: ``optimize.warm_start``
+    fails a lane's warm start before the lockstep call, and
+    ``serve.optimize.lane_error`` makes one lane of the call diverge;
+    :func:`reseed_failed_lanes` must then recover (or fail) that lane
+    alone.
+    """
+    outcomes: List[Any] = [None] * len(jobs)
+    if _faults.ACTIVE is not None:
+        for i in range(len(jobs)):
+            try:
+                _faults.fire("optimize.warm_start")
+            except Exception as exc:  # noqa: BLE001 — this lane's failure
+                outcomes[i] = exc
+    lanes = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    head = jobs[0]
+    solved = _batched([jobs[i] for i in lanes], lambda batch:
+                      optimize_repeater_many(
+                          [job.line for job in batch], head.driver, head.f,
+                          method=head.method,
+                          initials=[job.initial for job in batch],
+                          tol=head.tol, max_iterations=head.max_iterations))
+    for lane, i in enumerate(lanes):
+        outcomes[i] = (solved[lane] if solved is not None
+                       else _outcome(jobs[i]._solo))
+    if _faults.ACTIVE is not None:
+        lane = _faults.pick_lane("serve.optimize.lane_error", len(outcomes))
+        if lane is not None:
+            outcomes[lane] = OptimizationError(
+                "injected fault at serve.optimize.lane_error: "
+                "lane diverged")
+    return outcomes
+
+
 @dataclass(frozen=True)
-class OptimizeJob:
+class OptimizeJob(_Lanes):
     """Repeater-insertion optimization of one (line, driver, f) config.
 
     ``initial`` is the warm start; when it fails with
@@ -339,20 +503,36 @@ class OptimizeJob:
                 "tol": self.tol, "max_iterations": self.max_iterations,
                 "retry_reseed": self.retry_reseed}
 
-    def run(self) -> Dict[str, Any]:
-        try:
-            if _faults.ACTIVE is not None:
-                _faults.fire("optimize.warm_start")
-            outcome = optimize_repeater(
-                self.line, self.driver, self.f, method=self.method,
-                initial=self.initial, tol=self.tol,
-                max_iterations=self.max_iterations)
-        except OptimizationError as exc:
-            outcome = exc
-        (result,) = reseed_failed_lanes([self], [outcome])
-        if isinstance(result, Exception):
-            raise result
-        return result
+    def _solo(self) -> RepeaterOptimum:
+        return optimize_repeater(
+            self.line, self.driver, self.f, method=self.method,
+            initial=self.initial, tol=self.tol,
+            max_iterations=self.max_iterations)
+
+    @classmethod
+    def run_many(cls, jobs: Sequence["OptimizeJob"]
+                 ) -> List[Union[Dict[str, Any], Exception]]:
+        """N optimizations, lockstep-batched per shared configuration.
+
+        Lanes sharing (driver, f, method, tol, max_iterations) run their
+        Newton loops in lockstep through
+        :func:`~repro.core.optimize.optimize_repeater_many` and finish
+        through :func:`reseed_failed_lanes`.  The optimizer's lanes are
+        batch-size invariant, so a lane's payload, trace counters
+        included, or its error text is the same at every batch size.
+        """
+        results: List[Any] = [None] * len(jobs)
+        groups: Dict[Any, List[int]] = {}
+        for i, job in enumerate(jobs):
+            key = (job.driver, job.f, job.method, job.tol,
+                   job.max_iterations)
+            groups.setdefault(key, []).append(i)
+        for indices in groups.values():
+            group = [jobs[i] for i in indices]
+            for i, result in zip(indices, reseed_failed_lanes(
+                    group, _first_pass(group))):
+                results[i] = result
+        return results
 
     def summary(self, result: Dict[str, Any]) -> str:
         return (f"h={result['h_opt']:.6g}m k={result['k_opt']:.6g} "
@@ -510,3 +690,71 @@ class ExperimentJob:
 def job_to_dict(job: Any) -> Dict[str, Any]:
     """Serialize any job to its canonical dictionary (includes ``kind``)."""
     return job.canonical()
+
+
+def _envelope(outcome: Any, wall_time: float) -> Dict[str, Any]:
+    """One lane's envelope: its screened result, or its failure.
+
+    A lane's exception is raised here, so its envelope carries a
+    traceback whether ``run()`` raised it or ``run_many`` returned it.
+    """
+    try:
+        if isinstance(outcome, Exception):
+            raise outcome
+        return {"ok": True, "result": screen_nonfinite(outcome),
+                "wall_time": wall_time}
+    except Exception as exc:  # noqa: BLE001 — the lane's own failure
+        return {"ok": False,
+                "error": str(exc),
+                "error_type": type(exc).__name__,
+                "traceback": traceback.format_exc(),
+                "wall_time": wall_time}
+
+
+def run_jobs(jobs: Sequence[Any]) -> List[Dict[str, Any]]:
+    """Evaluate N job specs, never raising: the unit of execution.
+
+    Module-level so it pickles for the process backend.  Returns one
+    envelope per job, in order: ``{"ok", "result" | ("error",
+    "error_type", "traceback"), "wall_time"}``.
+
+    * The fault sites ``executor.job.hang`` and ``executor.job.error``
+      fire per lane, before any lane runs.
+    * Lanes of a kind with a ``run_many`` (delay, critical inductance,
+      optimize) go to it in calls of at most
+      :data:`DEFAULT_MAX_BATCH_SIZE` lanes; every other lane runs its
+      own ``run()``.  Calls run in the order of their first lane.
+    * Every lane takes :func:`screen_nonfinite`, and fails alone.
+    * ``wall_time`` is metrics-only.  A lane that ran alone reports its
+      own time; each lane of a batched call reports the call's time
+      divided by its lane count, so the lanes' times sum to the time
+      spent evaluating.
+    """
+    envelopes: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
+    calls: Dict[Any, List[int]] = {}
+    for index, job in enumerate(jobs):
+        if _faults.ACTIVE is not None:
+            start = time.perf_counter()
+            try:
+                _faults.sleep("executor.job.hang")
+                _faults.fire("executor.job.error", kind=job.kind)
+            except Exception as exc:  # noqa: BLE001 — isolate the lane
+                envelopes[index] = _envelope(
+                    exc, time.perf_counter() - start)
+                continue
+        batched = hasattr(type(job), "run_many")
+        calls.setdefault(type(job) if batched else index, []).append(index)
+    for key, indices in calls.items():
+        for at in range(0, len(indices), DEFAULT_MAX_BATCH_SIZE):
+            lanes = indices[at:at + DEFAULT_MAX_BATCH_SIZE]
+            batch = [jobs[i] for i in lanes]
+            start = time.perf_counter()
+            try:
+                outcomes = (key.run_many(batch) if isinstance(key, type)
+                            else [batch[0].run()])
+            except Exception as exc:  # noqa: BLE001 — isolate the call
+                outcomes = [exc] * len(batch)
+            share = (time.perf_counter() - start) / len(lanes)
+            for index, outcome in zip(lanes, outcomes):
+                envelopes[index] = _envelope(outcome, share)
+    return envelopes  # type: ignore[return-value]

@@ -156,10 +156,18 @@ def jobs_from_entries(entries: List[Dict[str, Any]],
 
     ``json.loads`` accepts ``NaN``/``Infinity`` tokens and a CSV cell
     ``NaN`` parses to ``nan``; an entry holding one is refused here,
-    before any job runs, as serve refuses such a request.
+    before any job runs, as serve refuses such a request.  So is an
+    entry, or a ``defaults``, that is not an object.
     """
+    if defaults is not None and not isinstance(defaults, dict):
+        raise ManifestError(
+            f"manifest 'defaults' must be an object, got {defaults!r}")
     jobs = []
     for position, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ManifestError(
+                f"invalid manifest entry #{position}: expected an object, "
+                f"got {entry!r}")
         merged = {**(defaults or {}), **entry}
         nonfinite = nonfinite_path(merged)
         if nonfinite is not None:

@@ -41,7 +41,9 @@ class JobMetrics:
     """Per-job observability record (parallel to one ``JobOutcome``)."""
 
     kind: str
-    wall_time: float          #: seconds spent evaluating (0.0 on cache hit)
+    #: Seconds spent evaluating (0.0 on a cache hit or a deduped lane);
+    #: a lane of a batched call gets the call's time over its lanes.
+    wall_time: float
     from_cache: bool
     failed: bool
     newton_iterations: int    #: solver iterations reported by the result
@@ -94,7 +96,7 @@ class BatchMetrics:
     workers: int = 1
     backend: str = "serial"          #: execution backend name
     dispatches: int = 0              #: backend dispatches this batch made
-    worker_restarts: int = 0         #: broken pools rebuilt during the batch
+    worker_restarts: int = 0         #: dispatches that lost their worker
     dispatch_wait: Dict[str, float] = field(default_factory=dict)
     per_job: List[JobMetrics] = field(default_factory=list)
 
@@ -162,5 +164,6 @@ class BatchMetrics:
                 "latency: " + " ".join(
                     f"{name}={value:.4g}s"
                     for name, value in percentiles.items())
-                + " (per-job wall time)")
+                + " (per-job wall time; a batched call's time is split "
+                  "evenly over its lanes)")
         return "\n".join(lines)

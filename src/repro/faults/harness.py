@@ -57,8 +57,9 @@ ENGINE_SITES = frozenset(
     name for name, point in FAULT_POINTS.items()
     if point.scenario == "engine")
 
-#: Sites of the execution-backend plane, driven through both seams the
-#: backend serves (engine ``submit_batch`` and serve ``run_call_async``).
+#: Sites of the execution-backend plane, driven through both callers of
+#: its one seam, ``Backend.submit`` (the engine's ``BatchExecutor`` and
+#: serve's batchers).
 BACKEND_SITES = frozenset(
     name for name, point in FAULT_POINTS.items()
     if point.scenario == "backend")
@@ -507,12 +508,12 @@ def _drive_broken_pool(plan: FaultPlan, report: RunReport,
 
 
 # ----------------------------------------------------------------------
-# The backend driver (both seams of the execution plane).
+# The backend driver (both callers of the execution plane's seam).
 # ----------------------------------------------------------------------
 def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
-    """Drive the backend fault plane through both of its seams.
+    """Drive the backend fault plane through both callers of its seam.
 
-    Engine seam first: a multi-worker :class:`BatchExecutor` runs the
+    Engine first: a multi-worker :class:`BatchExecutor` runs the
     delay workload repeatedly, consuming the armed site's first hits
     deterministically.  A dispatch that fails must fail *loud and
     contextual* (the ``re-run with jobs=1`` recovery text, or the
@@ -521,7 +522,7 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
     succeed: a process backend that lost a worker rebuilds its pool
     instead of staying broken.
 
-    Serve seam second: a :class:`ReproService` whose batchers share a
+    Serve second: a :class:`ReproService` whose batchers share a
     backend of the same flavor evaluates the delay workload.  Every
     lane is answered-or-rejected — a successful response is bitwise
     equal to solo ``job.run()``, a failed one carries a structured
@@ -540,7 +541,7 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
                       for rule in plan.rules)
     backend_name = "process" if crash_armed else "thread"
 
-    # -- engine seam ---------------------------------------------------
+    # -- engine ----------------------------------------------------------
     executor = BatchExecutor(jobs=2, backend=backend_name)
     saw_failure = False
     saw_recovery = False
@@ -587,7 +588,7 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
             f"the first failure kept failing (a broken pool must be "
             f"rebuilt)")
 
-    # -- serve seam ----------------------------------------------------
+    # -- serve -----------------------------------------------------------
     async def drive_service():
         service = ReproService(backend=backend_name, backend_workers=2,
                                max_batch_size=4, max_linger=0.02,

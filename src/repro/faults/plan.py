@@ -102,10 +102,10 @@ FAULT_POINTS: Dict[str, FaultPoint] = {point.name: point for point in [
                "races)",
                "serve", "delay"),
     FaultPoint("batcher.evaluate.error",
-               "the batch evaluator raises for a whole dispatched batch",
+               "a whole dispatched batch fails before its dispatch",
                "serve", "raise"),
     FaultPoint("batcher.envelope.malformed",
-               "the evaluator returns a malformed envelope list (wrong "
+               "a dispatch returns a malformed envelope list (wrong "
                "count)",
                "serve", "drop_one"),
     FaultPoint("server.read.drop",
@@ -120,7 +120,7 @@ FAULT_POINTS: Dict[str, FaultPoint] = {point.name: point for point in [
                "a dispatched batch; process backends rebuild it)",
                "backend", "raise"),
     FaultPoint("backend.worker.hang",
-               "a backend dispatch stalls before reaching a worker",
+               "a backend dispatch stalls before its worker starts it",
                "backend", "delay"),
     FaultPoint("backend.dispatch.queue_full",
                "the backend refuses a dispatch at submission (its "

@@ -9,15 +9,16 @@ into per-class queues, coalesced by a max-batch-size / max-linger
 policy into single ``threshold_delay_v`` / ``critical_inductance_v`` /
 ``optimize_repeater_many`` calls, and fanned back to per-request futures
 — with per-lane fault isolation, bounded-queue admission control (429),
-per-request queue deadlines (504) and graceful drain.  Batch
-evaluations dispatch onto a shared execution backend
+per-request queue deadlines (504) and graceful drain.  Each micro-batch
+is one dispatch onto a shared execution backend
 (:mod:`repro.engine.backends` — serial, thread or warm-process
-workers, selected via ``repro-serve serve --backend``), the same plane
-the batch engine runs on.
+workers, selected via ``repro-serve serve --backend``), evaluated by
+:func:`repro.engine.jobs.run_jobs`, the function every batch-engine
+dispatch runs.
 
 Modules: :mod:`~repro.serve.protocol` (wire format + error codes),
 :mod:`~repro.serve.batcher` (the dynamic micro-batcher),
-:mod:`~repro.serve.service` (batch evaluators, cache and metrics wiring),
+:mod:`~repro.serve.service` (cache, batcher and metrics wiring),
 :mod:`~repro.serve.metrics` (the ``/metrics`` registry),
 :mod:`~repro.serve.server` / :mod:`~repro.serve.client` (stdlib HTTP
 front end and blocking client), :mod:`~repro.serve.bench` (the

@@ -5,9 +5,8 @@ layer's economics: a vectorized ``threshold_delay_v`` call amortizes its
 fixed cost over every lane, but interactive requests arrive one at a
 time.  Each request class owns one batcher; admitted jobs queue as
 *lanes* and a single drain task turns the queue into batches under a
-max-batch-size / max-linger policy, hands each batch to a (blocking)
-batch evaluator on an execution backend, and fans the per-lane
-envelopes back to per-request futures.
+max-batch-size / max-linger policy, awaits one dispatch per batch, and
+fans the per-lane envelopes back to per-request futures.
 
 Policy, in order of precedence:
 
@@ -25,42 +24,39 @@ Per-request deadlines are enforced at dispatch time: a lane whose
 deadline passed while it queued is expired with
 :class:`DeadlineExceededError` and never evaluated.
 
-Dispatch is where the backend seam sits.  Up to ``max_inflight``
-batches evaluate concurrently: the drain loop waits for a free dispatch
-slot *before* popping lanes (so deadline checks happen at true dispatch
-time and ``queue_depth`` keeps meaning "not yet dispatched"), then
-hands the batch to a :class:`repro.engine.backends.Backend` via
-``run_call_async`` as its own task and immediately returns to the
-queue.  With no backend the batcher falls back to a bounded, *named*
-thread pool it owns and shuts down on ``close()`` — never the event
-loop's anonymous default executor, which is process-global, unbounded,
-and shared with any other ``run_in_executor(None, ...)`` caller.
-``max_inflight=1`` (the no-backend default) reproduces the historical
-one-batch-at-a-time behavior exactly.
+Dispatch is one async callable ``(jobs) -> [envelope, ...]``; the
+service passes one that awaits its backend's
+:meth:`~repro.engine.backends.Backend.submit`, so a micro-batch is one
+:func:`~repro.engine.jobs.run_jobs` call on one worker.  Up to
+``max_inflight`` batches evaluate concurrently: the drain loop waits
+for a free dispatch slot *before* popping lanes (so deadline checks
+happen at true dispatch time and ``queue_depth`` keeps meaning "not yet
+dispatched"), then awaits the batch as its own task and immediately
+returns to the queue.  ``max_inflight=1`` (the default) dispatches one
+batch at a time.
 
-Fault isolation is per lane: evaluators return one envelope per job
+Fault isolation is per lane: a dispatch returns one envelope per job
 (``{"ok": True, "result": ...}`` or ``{"ok": False, "error": ...,
 "error_type": ...}``), so one diverging optimization fails only its own
-future.  An evaluator that raises outright fails exactly the lanes of
-its batch — never the queue behind it.
+future.  A dispatch that raises outright fails exactly the lanes of its
+batch — never the queue behind it.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Any, Awaitable, Callable, Deque, Dict, List, Optional,
+                    Set, Tuple)
 
-from ..engine.backends import Backend
+from ..engine.jobs import DEFAULT_MAX_BATCH_SIZE
 from ..faults import hooks as _faults
 from .protocol import (DeadlineExceededError, EvaluationFailedError,
                        QueueFullError, ServiceClosedError)
 
-#: Default maximum lanes per dispatched batch.
-DEFAULT_MAX_BATCH_SIZE = 64
+#: Async ``(jobs) -> [envelope, ...]``: one envelope per job, in order.
+Dispatch = Callable[[List[Any]], Awaitable[List[Dict[str, Any]]]]
 
 #: Default seconds the first queued lane waits for company.
 DEFAULT_MAX_LINGER = 0.005
@@ -86,34 +82,25 @@ class DynamicBatcher:
     ----------
     kind:
         Request-class label (used in error messages and metrics).
-    evaluate:
-        Blocking callable ``(jobs) -> [envelope, ...]`` run on the
-        backend; must return exactly one envelope per job, in order.
+    dispatch:
+        Async callable ``(jobs) -> [envelope, ...]`` that evaluates one
+        batch; must return exactly one envelope per job, in order.
     max_batch_size / max_linger / max_queue_depth:
         The batching policy (see module docstring).
     on_batch:
         Optional ``(kind, size)`` callback fired per dispatched batch —
         the metrics registry's batch-size histogram hook.
-    backend:
-        Optional shared :class:`~repro.engine.backends.Backend` the
-        evaluator calls are dispatched onto (the caller owns its
-        lifecycle).  Without one the batcher lazily creates — and on
-        ``close()`` shuts down — its own bounded named thread pool.
     max_inflight:
-        Dispatched batches allowed to evaluate concurrently.  Defaults
-        to the backend's worker count (1 without a backend, preserving
-        the strict one-batch-at-a-time history).
+        Dispatched batches allowed to evaluate concurrently (the service
+        passes its backend's worker count).
     """
 
-    def __init__(self, kind: str,
-                 evaluate: Callable[[Sequence[Any]], List[Dict[str, Any]]],
+    def __init__(self, kind: str, dispatch: Dispatch,
                  *, max_batch_size: int = DEFAULT_MAX_BATCH_SIZE,
                  max_linger: float = DEFAULT_MAX_LINGER,
                  max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
                  on_batch: Optional[Callable[[str, int], None]] = None,
-                 backend: Optional[Backend] = None,
-                 max_inflight: Optional[int] = None
-                 ) -> None:
+                 max_inflight: int = 1) -> None:
         if max_batch_size < 1:
             raise ValueError(
                 f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -122,8 +109,6 @@ class DynamicBatcher:
         if max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}")
-        if max_inflight is None:
-            max_inflight = backend.workers if backend is not None else 1
         if max_inflight < 1:
             raise ValueError(
                 f"max_inflight must be >= 1, got {max_inflight}")
@@ -133,11 +118,9 @@ class DynamicBatcher:
         self.max_queue_depth = max_queue_depth
         self.max_inflight = max_inflight
         self.on_batch = on_batch
-        self.backend = backend
-        self._evaluate = evaluate
+        self._dispatch = dispatch
         self._pending: Deque[_Lane] = deque()
         self._inflight: Set["asyncio.Task[None]"] = set()
-        self._executor: Optional[ThreadPoolExecutor] = None
         self._wakeup: Optional[asyncio.Event] = None
         self._task: Optional["asyncio.Task[None]"] = None
         self._closed = False
@@ -190,10 +173,9 @@ class DynamicBatcher:
     async def close(self) -> None:
         """Graceful drain: refuse new work, flush every admitted lane.
 
-        Idempotent.  Returns once the queue is empty, every in-flight
-        dispatch has fanned out, and the owned executor (if one was
-        created) is shut down — no admitted request is ever dropped
-        silently and no worker thread outlives the batcher.
+        Idempotent.  Returns once the queue is empty and every in-flight
+        dispatch has fanned out — no admitted request is ever dropped
+        silently.
         """
         self._closed = True
         if self._wakeup is not None:
@@ -228,9 +210,6 @@ class DynamicBatcher:
                 lane.future.set_exception(ServiceClosedError(
                     f"{self.kind} batcher closed before the lane "
                     f"dispatched"))
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     def _ensure_draining(self) -> None:
         if self._wakeup is None:
@@ -322,24 +301,22 @@ class DynamicBatcher:
         """Evaluate one popped batch and fan its envelopes out.
 
         Runs as its own task so the drain loop can keep popping while
-        the backend evaluates.  Never raises: everything batch-scoped —
-        the evaluator call, the envelope count check, and the fan-out
-        itself (a malformed envelope raises here) — fails exactly this
-        batch's lanes and leaves the drain task alive for the queue
-        behind it.  No admitted lane is ever orphaned by an internal
-        error.
+        the batch evaluates.  Never raises: everything batch-scoped —
+        the dispatch, the envelope count check, and the fan-out itself
+        (a malformed envelope raises here) — fails exactly this batch's
+        lanes and leaves the drain task alive for the queue behind it.
+        No admitted lane is ever orphaned by an internal error.
         """
         try:
             if _faults.ACTIVE is not None:
                 _faults.fire("batcher.evaluate.error")
-            envelopes = await self._run_evaluate(
-                [lane.job for lane in live])
+            envelopes = await self._dispatch([lane.job for lane in live])
             if _faults.ACTIVE is not None:
                 envelopes = _faults.mutate(
                     "batcher.envelope.malformed", envelopes)
             if len(envelopes) != len(live):
                 raise RuntimeError(
-                    f"{self.kind} evaluator returned "
+                    f"{self.kind} dispatch returned "
                     f"{len(envelopes)} envelopes for {len(live)} jobs")
             for lane, envelope in zip(live, envelopes):
                 if lane.future.done():
@@ -357,15 +334,3 @@ class DynamicBatcher:
                     lane.future.set_exception(EvaluationFailedError(
                         f"{self.kind} batch evaluation failed: {exc}",
                         error_type=type(exc).__name__))
-
-    async def _run_evaluate(self, jobs: List[Any]
-                            ) -> List[Dict[str, Any]]:
-        """One evaluator call, placed on the backend seam."""
-        if self.backend is not None:
-            return await self.backend.run_call_async(self._evaluate, jobs)
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.max_inflight,
-                thread_name_prefix=f"repro-batcher-{self.kind}")
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, self._evaluate, jobs)

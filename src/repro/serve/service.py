@@ -1,4 +1,4 @@
-"""The evaluation service: batch evaluators + cache + batchers + metrics.
+"""The evaluation service: cache + batchers + metrics over one backend.
 
 :class:`ReproService` is the in-process heart of ``repro-serve`` (the
 HTTP server in :mod:`repro.serve.server` is a thin shell around it, and
@@ -6,31 +6,20 @@ the benchmark drives it directly).  One request flows::
 
     parse_request -> cache lookup -> DynamicBatcher.submit
                          |                 |
-                      hit: answer       batch evaluator (kernel layer)
+                      hit: answer       Backend.submit (one worker)
                       immediately          |
                          <- cache put <- per-lane envelope
 
-The batch evaluators are where the serve layer meets the kernel layer:
-
-* ``delay`` batches assemble one :class:`~repro.core.kernels.StageBatch`
-  (heterogeneous lines/drivers/thresholds broadcast per lane) and run
-  :func:`~repro.core.kernels.threshold_delay_v`,
-* ``critical_inductance`` batches run
-  :func:`~repro.core.kernels.critical_inductance_v`,
-* ``optimize`` batches group lanes by shared (driver, f, method, tol,
-  max_iterations), run each group's Newton loops in lockstep via
-  :func:`~repro.core.optimize.optimize_repeater_many` and finish them
-  through :func:`~repro.engine.jobs.reseed_failed_lanes`, the RC
-  re-seed retry :class:`~repro.engine.jobs.OptimizeJob` runs too.
-
-Every evaluator produces per-lane result dicts **bitwise identical** to
-the corresponding solo ``job.run()`` (the scalar-vs-vector guarantees of
-the kernel and evaluator layers; an optimize lane's trace counters
-included), so the service caches every successful lane and the store
-stays coherent with ``repro-batch``.  A batch of one skips the
-vectorized path and calls ``job.run()`` directly — that scalar path is
-also the honest baseline the serve benchmark compares micro-batching
-against.
+Serve keeps the queueing and nothing else.  Each request class's
+micro-batch is one :meth:`~repro.engine.backends.Backend.submit`, so
+it is evaluated by :func:`~repro.engine.jobs.run_jobs` — the function
+every ``repro-batch`` dispatch runs: delay and critical-inductance
+lanes as one vector-kernel call, optimize lanes in lockstep per shared
+configuration with the RC re-seed retry, each lane screened for
+non-finite values and failing alone.  A lane's payload is bitwise the
+solo ``job.run()``'s (an optimize lane's trace counters included), so
+the service caches every successful lane and the store stays coherent
+with ``repro-batch``.
 """
 
 from __future__ import annotations
@@ -38,16 +27,10 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
-from ..core.kernels import (StageBatch, critical_inductance_v,
-                            threshold_delay_v)
-from ..core.optimize import optimize_repeater_many
 from ..engine.backends import Backend, make_backend
-from ..engine.jobs import nonfinite_path, reseed_failed_lanes
 from ..engine.store import ResultStore, flight_key
-from ..errors import OptimizationError
-from ..faults import hooks as _faults
 from .batcher import (DEFAULT_MAX_BATCH_SIZE, DEFAULT_MAX_LINGER,
                       DEFAULT_MAX_QUEUE_DEPTH, DynamicBatcher)
 from .metrics import ServerMetrics
@@ -55,158 +38,6 @@ from .protocol import (REQUEST_JOB_TYPES, DeadlineExceededError, ServeError,
                        ServeRequest, ServiceClosedError, encode_error,
                        encode_result, parse_request)
 
-
-# ----------------------------------------------------------------------
-# Batch evaluators (blocking; run on an executor thread).
-# ----------------------------------------------------------------------
-def _solo_envelope(job: Any) -> Dict[str, Any]:
-    """Evaluate one job through its own ``run()`` with fault isolation.
-
-    The result takes the same non-finite screen as every batched lane.
-    """
-    try:
-        envelope = {"ok": True, "result": job.run()}
-    except Exception as exc:  # noqa: BLE001 — isolate any lane failure
-        return {"ok": False, "error": str(exc),
-                "error_type": type(exc).__name__}
-    return _screened(envelope)
-
-
-def _screened(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """Fail a lane whose result contains NaN/inf instead of serving it.
-
-    The wire protocol is strict JSON (no ``NaN`` tokens) and the cache
-    must never store a non-finite payload, so a lane that solved to NaN
-    — a numerical escape, or the ``kernels.threshold_delay.nan_lane``
-    fault — is reported as that lane's own structured failure.
-    """
-    if envelope.get("ok") \
-            and nonfinite_path(envelope["result"]) is not None:
-        return {"ok": False,
-                "error": "evaluation produced a non-finite result",
-                "error_type": "DelaySolverError"}
-    return envelope
-
-
-def _stage_batch(jobs: Sequence[Any]) -> StageBatch:
-    """Pack heterogeneous delay/critical jobs into one kernel batch."""
-    return StageBatch.from_arrays(
-        r=[job.line.r for job in jobs],
-        l=[job.line.l for job in jobs],
-        c=[job.line.c for job in jobs],
-        r_s=[job.driver.r_s for job in jobs],
-        c_p=[job.driver.c_p for job in jobs],
-        c_0=[job.driver.c_0 for job in jobs],
-        h=[job.h for job in jobs],
-        k=[job.k for job in jobs])
-
-
-def evaluate_delay_batch(jobs: Sequence[Any]) -> List[Dict[str, Any]]:
-    """N delay requests as one ``threshold_delay_v`` call.
-
-    Lane payloads match :meth:`repro.engine.jobs.DelayJob.run` bitwise
-    (polish is rejected at the protocol boundary, so every lane is the
-    unpolished kernel solve).  If the vectorized call refuses the batch
-    (one bad lane poisons batch validation), every lane falls back to
-    its solo scalar path so only the offending request fails.
-    """
-    if len(jobs) == 1:
-        return [_solo_envelope(jobs[0])]
-    try:
-        solved = threshold_delay_v(_stage_batch(jobs),
-                                   [job.f for job in jobs])
-    except Exception:  # noqa: BLE001 — isolate per lane via solo path
-        return [_solo_envelope(job) for job in jobs]
-    damping = solved.damping_values()
-    envelopes: List[Dict[str, Any]] = []
-    for i, job in enumerate(jobs):
-        tau = float(solved.tau[i])
-        envelopes.append(_screened({"ok": True, "result": {
-            "tau": tau,
-            "delay_per_length": tau / job.h,
-            "threshold": job.f,
-            "damping": damping[i].value,
-            "newton_iterations": 0}}))
-    return envelopes
-
-
-def evaluate_critical_inductance_batch(jobs: Sequence[Any]
-                                       ) -> List[Dict[str, Any]]:
-    """N critical-inductance requests as one ``critical_inductance_v``.
-
-    Lane payloads match
-    :meth:`repro.engine.jobs.CriticalInductanceJob.run` bitwise — both
-    paths evaluate the same ``critical_inductance_terms`` expression
-    graph.
-    """
-    if len(jobs) == 1:
-        return [_solo_envelope(jobs[0])]
-    try:
-        l_crit = critical_inductance_v(_stage_batch(jobs))
-    except Exception:  # noqa: BLE001 — isolate per lane via solo path
-        return [_solo_envelope(job) for job in jobs]
-    envelopes: List[Dict[str, Any]] = []
-    for i, job in enumerate(jobs):
-        lc = float(l_crit[i])
-        margin = (job.line.l / lc) if lc > 0.0 else None
-        envelopes.append(_screened({"ok": True, "result": {
-            "l_crit": lc, "l": job.line.l, "damping_margin": margin}}))
-    return envelopes
-
-
-def evaluate_optimize_batch(jobs: Sequence[Any]) -> List[Dict[str, Any]]:
-    """N optimize requests, lockstep-batched per shared configuration.
-
-    Lanes sharing (driver, f, method, tol, max_iterations) run their
-    Newton loops in lockstep through ``optimize_repeater_many`` and
-    finish through ``reseed_failed_lanes`` — the same driver and retry
-    as ``OptimizeJob.run``, so each lane's payload or error text equals
-    its solo run's.
-    """
-    if len(jobs) == 1:
-        return [_solo_envelope(jobs[0])]
-    envelopes: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
-    groups: Dict[Any, List[int]] = {}
-    for i, job in enumerate(jobs):
-        key = (job.driver, job.f, job.method, job.tol, job.max_iterations)
-        groups.setdefault(key, []).append(i)
-    for (driver, f, method, tol, max_iterations), indices in groups.items():
-        try:
-            outcomes = optimize_repeater_many(
-                [jobs[i].line for i in indices], driver, f, method=method,
-                initials=[jobs[i].initial for i in indices], tol=tol,
-                max_iterations=max_iterations)
-        except Exception:  # noqa: BLE001 — isolate per lane via solo path
-            for i in indices:
-                envelopes[i] = _solo_envelope(jobs[i])
-            continue
-        if _faults.ACTIVE is not None:
-            # Named fault site: exactly one lane of the lockstep batch
-            # diverges; the re-seed retry below must recover (or fail)
-            # that lane alone.
-            lane = _faults.pick_lane("serve.optimize.lane_error",
-                                     len(outcomes))
-            if lane is not None:
-                outcomes[lane] = OptimizationError(
-                    "injected fault at serve.optimize.lane_error: "
-                    "lane diverged")
-        results = reseed_failed_lanes([jobs[i] for i in indices], outcomes)
-        for i, result in zip(indices, results):
-            if isinstance(result, Exception):
-                envelopes[i] = {"ok": False, "error": str(result),
-                                "error_type": type(result).__name__}
-            else:
-                envelopes[i] = _screened({"ok": True, "result": result})
-    assert all(envelope is not None for envelope in envelopes)
-    return envelopes  # type: ignore[return-value]
-
-
-#: Blocking batch evaluator per served request class.
-EVALUATORS: Dict[str, Callable[[Sequence[Any]], List[Dict[str, Any]]]] = {
-    "delay": evaluate_delay_batch,
-    "critical_inductance": evaluate_critical_inductance_batch,
-    "optimize": evaluate_optimize_batch,
-}
 
 #: Default dispatch workers for a service-owned backend.
 DEFAULT_SERVE_WORKERS = max(1, min(8, os.cpu_count() or 1))
@@ -235,19 +66,21 @@ class ReproService:
     default_timeout:
         Queue deadline (seconds) applied to requests that do not carry
         their own ``timeout``; ``None`` means wait indefinitely.
-    metrics / evaluators:
-        Injection points for tests; default to a fresh
-        :class:`ServerMetrics` and the kernel-layer :data:`EVALUATORS`.
+    metrics:
+        Injection point for tests; defaults to a fresh
+        :class:`ServerMetrics`.
     backend / backend_workers:
-        The execution backend every batcher dispatches evaluator calls
+        The execution backend every batcher dispatches its micro-batches
         onto — a name from
         :data:`repro.engine.backends.BACKEND_NAMES` (default
         ``thread``, a bounded named pool of ``backend_workers``
         workers) or a live :class:`~repro.engine.backends.Backend`
-        instance to share (the caller then owns its lifecycle).  A
-        service-owned backend is shut down by :meth:`close` *after* the
-        batchers drain, so in-flight dispatches always complete before
-        the workers go away.
+        instance to share (the caller then owns its lifecycle; tests
+        pass a ``Backend`` subclass here).  Up to ``backend.workers``
+        batches per request class evaluate at once.  A service-owned
+        backend is shut down by :meth:`close` *after* the batchers
+        drain, so in-flight dispatches always complete before the
+        workers go away.
     """
 
     def __init__(self, *, cache: Optional[ResultStore] = None,
@@ -256,7 +89,6 @@ class ReproService:
                  max_queue_depth: int = DEFAULT_MAX_QUEUE_DEPTH,
                  default_timeout: Optional[float] = None,
                  metrics: Optional[ServerMetrics] = None,
-                 evaluators: Optional[Dict[str, Callable]] = None,
                  backend: Optional[Union[str, Backend]] = None,
                  backend_workers: Optional[int] = None) -> None:
         self.cache = cache
@@ -267,14 +99,13 @@ class ReproService:
             backend if backend is not None else "thread",
             workers=backend_workers or DEFAULT_SERVE_WORKERS,
             thread_name_prefix="repro-serve-dispatch")
-        table = evaluators if evaluators is not None else EVALUATORS
         self._batchers: Dict[str, DynamicBatcher] = {
             kind: DynamicBatcher(
-                kind, table[kind], max_batch_size=max_batch_size,
+                kind, self._dispatch, max_batch_size=max_batch_size,
                 max_linger=max_linger, max_queue_depth=max_queue_depth,
                 on_batch=self.metrics.record_batch,
-                backend=self.backend)
-            for kind in REQUEST_JOB_TYPES if kind in table}
+                max_inflight=self.backend.workers)
+            for kind in REQUEST_JOB_TYPES}
         #: In-flight coalescing table: spec hash -> future resolving to
         #: ("ok", response) | ("error", exc).  Concurrent identical
         #: requests (across micro-batches too) collapse onto the first
@@ -297,6 +128,10 @@ class ReproService:
     def backend_stats(self) -> Dict[str, Any]:
         """The shared backend's dispatch stats (the ``/metrics`` block)."""
         return self.backend.stats_payload()
+
+    async def _dispatch(self, jobs: List[Any]) -> List[Dict[str, Any]]:
+        """One micro-batch through the backend seam, on one worker."""
+        return await asyncio.wrap_future(self.backend.submit(jobs))
 
     # ------------------------------------------------------------------
     # Request paths.

@@ -2,24 +2,28 @@
 
 The execution plane's whole contract is that the backend choice is an
 operational knob, never a numerical one: everything above the seam
-(cache, retry, screening, ordering) is backend-agnostic and nothing
-below it touches result payloads.  These tests pin that contract for
-successes *and* captured failures, across every job kind the engine
-ships, with and without warm cache entries — plus the lifecycle, stats
-and crash-recovery behaviour the serve layer leans on.
+(cache, dedup, ordering) is backend-agnostic and nothing below it
+touches result payloads.  These tests pin that contract for successes
+*and* captured failures, across every job kind the engine ships, with
+and without warm cache entries — plus the one seam itself
+(``Backend.submit`` running ``run_jobs``), the lifecycle, stats and
+crash-recovery behaviour the serve layer leans on.
 """
 
 import asyncio
 
 import pytest
 
+import repro.experiments  # noqa: F401  (registers the experiments)
 from repro import NODE_100NM, OptimizerMethod, units
 from repro.engine import BatchExecutor
 from repro.engine.store import DiskStore
 from repro.engine.backends import (BACKEND_NAMES, Backend, ProcessBackend,
                                    SerialBackend, ThreadBackend,
                                    make_backend)
-from repro.engine.jobs import DelayJob, OptimizeJob, SweepJob
+from repro.engine.jobs import (DelayJob, ExperimentJob, OptimizeJob,
+                               SweepJob, canonical_json, job_to_dict,
+                               run_jobs)
 from repro.faults import FaultPlan, FaultRule, hooks
 
 NH = units.NH_PER_MM
@@ -58,6 +62,52 @@ def mixed_jobs():
                         l_values=(0.0, 1.0 * NH))])
 
 
+def seam_jobs():
+    """Every lane shape ``run_jobs`` batches or runs alone, in one list."""
+    node = NODE_100NM
+    line = node.line_with_inductance
+    return (delay_jobs([0.0, 0.5, 1.0])
+            + [DelayJob(line=line(1.5 * NH), driver=node.driver, h=0.01,
+                        k=150.0, polish_with_newton=True),
+               # The 6-iteration Newton warm start fails; the RC re-seed
+               # recovers the lane.
+               OptimizeJob(line=line(0.5 * NH), driver=node.driver,
+                           method=OptimizerMethod.NEWTON,
+                           initial=(1e-4, 5.0), max_iterations=6),
+               poisoned_job(),
+               # Warm start and RC re-seed both fail: retry exhausted.
+               OptimizeJob(line=line(0.5 * NH), driver=node.driver,
+                           method=OptimizerMethod.NEWTON,
+                           initial=(1e-4, 5.0), max_iterations=3)]
+            + optimize_jobs([0.5, 1.5])
+            + [SweepJob(line_zero_l=node.line, driver=node.driver,
+                        l_values=(0.0, 1.0 * NH)),
+               ExperimentJob.create("table1")])
+
+
+def solo_payload(job):
+    """``JobOutcome.to_payload()`` of ``job`` evaluated by its own
+    ``run()``."""
+    entry = {"kind": job.kind, "job": job_to_dict(job)}
+    try:
+        entry.update(status="ok", result=job.run())
+    except Exception as exc:  # noqa: BLE001 — the expected failure
+        entry.update(status="failed", error=str(exc),
+                     error_type=type(exc).__name__)
+    return entry
+
+
+@pytest.fixture(scope="module")
+def solo_baseline():
+    """Per-job ``job.run()`` payloads of :func:`seam_jobs`, in order."""
+    payload = [solo_payload(job) for job in seam_jobs()]
+    assert [entry["status"] for entry in payload] == (
+        ["ok"] * 5 + ["failed"] * 2 + ["ok"] * 4)
+    assert payload[4]["result"]["retried"] is True
+    assert payload[6]["error"].startswith("optimize retry exhausted")
+    return canonical_json(payload)
+
+
 @pytest.fixture(scope="module")
 def serial_baseline():
     """The jobs=1 serial payload every other backend must reproduce."""
@@ -93,6 +143,16 @@ class TestParity:
             == [False, True, False, False, True]
         assert report.to_payload() == serial_baseline
 
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_seam_equals_solo_runs(self, name, workers, solo_baseline):
+        """Batched lanes (delay, optimize) and lanes run alone (polished
+        delay, sweep, experiment) answer exactly what each job's own
+        ``run()`` answers, failures included, in order."""
+        with BatchExecutor(jobs=workers, backend=name) as executor:
+            report = executor.run(seam_jobs())
+        assert canonical_json(report.to_payload()) == solo_baseline
+
     def test_executor_defaults_follow_jobs(self):
         with BatchExecutor(jobs=1) as solo:
             assert isinstance(solo.backend, SerialBackend)
@@ -127,7 +187,7 @@ class TestLifecycle:
     def test_context_manager_and_stats(self):
         jobs = delay_jobs([0.0, 1.0, 2.0])
         with ThreadBackend(2, thread_name_prefix="repro-test") as backend:
-            envelopes = backend.submit_batch(jobs)
+            envelopes = backend.submit(jobs).result()
             assert [e["ok"] for e in envelopes] == [True, True, True]
             snapshot = backend.stats.snapshot()
             assert snapshot["dispatches"] == 1
@@ -138,7 +198,7 @@ class TestLifecycle:
 
     def test_stats_payload_shape(self):
         backend = SerialBackend()
-        backend.submit_batch(delay_jobs([1.0]))
+        backend.submit(delay_jobs([1.0])).result()
         payload = backend.stats_payload()
         assert payload["backend"] == "serial"
         assert payload["workers"] == 1
@@ -157,28 +217,33 @@ class TestLifecycle:
             backend.close()
 
 
+def _without_wall_time(envelopes):
+    return [{key: value for key, value in envelope.items()
+             if key != "wall_time"} for envelope in envelopes]
+
+
+async def _dispatch(backend, jobs):
+    """One dispatch awaited from an event loop, as serve's batcher does."""
+    return await asyncio.wrap_future(backend.submit(jobs))
+
+
 class TestServeSeam:
-    """run_call_async: one evaluator call on one worker."""
+    """``Backend.submit`` as serve awaits it: one micro-batch is one
+    ``run_jobs`` call on one worker."""
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_run_call_matches_direct_evaluation(self, name):
-        from repro.serve.service import evaluate_delay_batch
-
         jobs = delay_jobs([0.0, 0.5, 1.0])
-        direct = evaluate_delay_batch(jobs)
+        direct = _without_wall_time(run_jobs(jobs))
         with make_backend(name, workers=2) as backend:
-            via_async = asyncio.run(
-                backend.run_call_async(evaluate_delay_batch, jobs))
-        assert via_async == direct
+            via_async = asyncio.run(_dispatch(backend, jobs))
+        assert _without_wall_time(via_async) == direct
 
     def test_run_call_counts_dispatches(self):
-        from repro.serve.service import evaluate_delay_batch
-
         jobs = delay_jobs([0.0, 1.0])
         with ThreadBackend(1) as backend:
             for _ in range(2):
-                asyncio.run(
-                    backend.run_call_async(evaluate_delay_batch, jobs))
+                asyncio.run(_dispatch(backend, jobs))
             snapshot = backend.stats.snapshot()
         assert snapshot["dispatches"] == 2
         assert snapshot["lanes"] == 4
@@ -186,11 +251,66 @@ class TestServeSeam:
         assert snapshot["dispatch_wait_samples"] == 2
 
 
+class TestOneSeam:
+    def test_delay_rows_share_kernel_calls(self, monkeypatch):
+        """130 distinct delay rows through the engine cost
+        ceil(130 / 64) = 3 ``threshold_delay_v`` calls, not 130."""
+        from repro.core import kernels
+
+        lanes = []
+
+        def counting(source, *args, **kwargs):
+            lanes.append(len(source))
+            return kernels.threshold_delay_v(source, *args, **kwargs)
+
+        monkeypatch.setattr("repro.core.delay.threshold_delay_v", counting)
+        monkeypatch.setattr("repro.engine.jobs.threshold_delay_v",
+                            counting, raising=False)
+        jobs = delay_jobs([0.02 * i for i in range(130)])
+        report = BatchExecutor(jobs=1).run(jobs)
+        assert report.all_ok
+        assert lanes == [64, 64, 2]
+
+    def test_nan_lane_fails_with_one_text_everywhere(self):
+        """A solver escape reads the same through the engine and serve."""
+        from repro.serve.protocol import EvaluationFailedError, ServeRequest
+        from repro.serve.service import ReproService
+
+        job = delay_jobs([1.0])[0]
+
+        def nan_plan():
+            return FaultPlan(seed=5, rules=[FaultRule(
+                site="kernels.threshold_delay.nan_lane", mode="nth", n=1)])
+
+        with hooks.active(nan_plan()):
+            outcome = BatchExecutor(jobs=1).run([job]).outcomes[0]
+
+        async def serve():
+            service = ReproService(cache=None, backend="serial",
+                                   max_linger=0.0)
+            try:
+                return await service.submit(ServeRequest(job=job))
+            finally:
+                await service.close()
+
+        with hooks.active(nan_plan()):
+            with pytest.raises(EvaluationFailedError) as excinfo:
+                asyncio.run(serve())
+        assert outcome.error_type == "DelaySolverError"
+        assert outcome.error == ("job produced a non-finite value at "
+                                 "result.tau (solver escape; result not "
+                                 "cached)")
+        assert excinfo.value.message == outcome.error
+        assert excinfo.value.details == {"error_type": outcome.error_type}
+
+
 class TestCrashRecovery:
     def test_process_pool_restarts_after_worker_death(self):
         """A worker dying mid-batch fails that batch loud — with the
         actionable re-run context — and the pool rebuild makes the very
-        next dispatch on the same executor succeed."""
+        next dispatch on the same executor succeed.  The executor
+        dispatches one chunk per worker, so the crashed dispatch held
+        one of the two jobs."""
         plan = FaultPlan(seed=11, rules=[
             FaultRule(site="backend.worker.crash", mode="first", n=1)])
         jobs = optimize_jobs([0.0, 0.5])
@@ -199,7 +319,7 @@ class TestCrashRecovery:
                 with pytest.raises(RuntimeError) as excinfo:
                     executor.run(jobs)
                 message = str(excinfo.value)
-                assert "2 jobs" in message
+                assert "evaluating 1 job with" in message
                 assert "2 workers" in message
                 assert "re-run with jobs=1" in message
                 report = executor.run(jobs)
@@ -209,7 +329,7 @@ class TestCrashRecovery:
             # The restart happened inside the *failed* run, so the
             # successful run's own delta is clean.
             assert report.metrics.worker_restarts == 0
-            assert report.metrics.dispatches == 1
+            assert report.metrics.dispatches == 2
 
     def test_serial_crash_keeps_context(self):
         plan = FaultPlan(seed=3, rules=[
@@ -218,14 +338,14 @@ class TestCrashRecovery:
         with hooks.active(plan):
             with pytest.raises(RuntimeError,
                                match="re-run with jobs=1"):
-                backend.submit_batch(delay_jobs([0.0, 1.0, 2.0]))
+                backend.submit(delay_jobs([0.0, 1.0, 2.0])).result()
         assert backend.stats.snapshot()["in_flight"] == 0
 
 
 class TestSharedBackendAcrossLayers:
     def test_service_and_executor_share_one_instance(self):
-        """One backend instance threads through both seams; neither
-        layer closes what it did not create."""
+        """One backend instance serves both layers; neither closes
+        what it did not create."""
         from repro.serve.protocol import ServeRequest
         from repro.serve.service import ReproService
 

@@ -113,6 +113,25 @@ class TestRun:
                      str(cache_dir)]) == 0
         assert "0 entries" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "invalid manifest entry #0: expected an object, got 1"),
+        ('{"defaults": [1], "jobs": [{"kind": "delay"}]}',
+         "manifest 'defaults' must be an object, got [1]"),
+    ], ids=["entry", "defaults"])
+    def test_non_object_entry_is_refused_before_any_job_runs(
+            self, tmp_path, cache_dir, capsys, text, message):
+        """An entry or ``defaults`` that is not an object fails the whole
+        manifest with exit code 2, not a ``TypeError`` traceback."""
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        assert main(["run", str(path), "--cache-dir", str(cache_dir),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
+
 
 class TestCacheCommands:
     def test_stats_and_clear(self, manifest, cache_dir, capsys):

@@ -43,8 +43,6 @@ class TestSerialExecution:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             BatchExecutor(jobs=0)
-        with pytest.raises(ValueError):
-            BatchExecutor(jobs=2, chunksize=0)
 
 
 class TestFaultIsolation:
@@ -76,12 +74,6 @@ class TestParallelDeterminism:
         serial = BatchExecutor(jobs=1).run(jobs)
         pooled = BatchExecutor(jobs=2).run(jobs)
         assert serial.to_payload() == pooled.to_payload()
-
-    def test_explicit_chunksize(self):
-        jobs = optimize_jobs([0.0, 0.5, 1.0, 1.5])
-        report = BatchExecutor(jobs=2, chunksize=2).run(jobs)
-        assert report.all_ok
-        assert len(report) == 4
 
 
 class TestCaching:

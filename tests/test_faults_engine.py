@@ -52,12 +52,15 @@ def _delay_jobs(count):
 
 class TestWorkerDeath:
     def test_real_worker_crash_mid_chunk_names_recovery(self):
-        """A worker dying hard fails the batch with actionable context."""
+        """A worker dying hard fails the batch with actionable context.
+
+        The executor dispatches one chunk of two jobs per worker; the
+        error names the failed dispatch's jobs."""
         jobs = _delay_jobs(3) + [_WorkerKillerJob()]
         with pytest.raises(RuntimeError) as excinfo:
             BatchExecutor(jobs=2).run(jobs)
         message = str(excinfo.value)
-        assert "4 jobs" in message
+        assert "2 jobs" in message
         assert "2 workers" in message
         assert "re-run with jobs=1" in message
 

@@ -1,10 +1,11 @@
 """Unit tests for the dynamic micro-batcher (no kernel layer involved).
 
-Every test drives a :class:`DynamicBatcher` with a scripted evaluator, so
-the batching policy — coalescing, splitting, admission control, queue
-deadlines, per-lane fault isolation, graceful drain — is exercised in
-isolation from the numerical code.  The suite has no async test runner;
-each test wraps its coroutine in ``asyncio.run``.
+Every test drives a :class:`DynamicBatcher` with a scripted evaluator,
+dispatched on a worker thread through :func:`on_thread`, so the batching
+policy — coalescing, splitting, admission control, queue deadlines,
+per-lane fault isolation, graceful drain — is exercised in isolation
+from the numerical code.  The suite has no async test runner; each test
+wraps its coroutine in ``asyncio.run``.
 """
 
 import asyncio
@@ -16,6 +17,14 @@ from repro.serve.batcher import DynamicBatcher
 from repro.serve.protocol import (DeadlineExceededError,
                                   EvaluationFailedError, QueueFullError,
                                   ServiceClosedError)
+
+
+def on_thread(evaluate):
+    """The batcher's async dispatch over a blocking evaluator, run on a
+    worker thread as a backend would run it."""
+    async def dispatch(jobs):
+        return await asyncio.to_thread(evaluate, jobs)
+    return dispatch
 
 
 class RecordingEvaluator:
@@ -41,7 +50,7 @@ class TestCoalescing:
         evaluate = RecordingEvaluator()
 
         async def run():
-            batcher = DynamicBatcher("echo", evaluate, max_batch_size=64,
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_batch_size=64,
                                      max_linger=0.2)
             results = await asyncio.gather(
                 *(batcher.submit(i) for i in range(8)))
@@ -58,7 +67,7 @@ class TestCoalescing:
         evaluate = RecordingEvaluator()
 
         async def run():
-            batcher = DynamicBatcher("echo", evaluate, max_batch_size=4,
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_batch_size=4,
                                      max_linger=0.2)
             results = await asyncio.gather(
                 *(batcher.submit(i) for i in range(10)))
@@ -76,7 +85,7 @@ class TestCoalescing:
         evaluate = RecordingEvaluator()
 
         async def run():
-            batcher = DynamicBatcher("echo", evaluate, max_batch_size=64,
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_batch_size=64,
                                      max_linger=0.01)
             result, size = await batcher.submit("alone")
             await batcher.close()
@@ -88,11 +97,11 @@ class TestCoalescing:
 
     def test_rejects_bad_policy(self):
         with pytest.raises(ValueError):
-            DynamicBatcher("echo", RecordingEvaluator(), max_batch_size=0)
+            DynamicBatcher("echo", on_thread(RecordingEvaluator()), max_batch_size=0)
         with pytest.raises(ValueError):
-            DynamicBatcher("echo", RecordingEvaluator(), max_linger=-1.0)
+            DynamicBatcher("echo", on_thread(RecordingEvaluator()), max_linger=-1.0)
         with pytest.raises(ValueError):
-            DynamicBatcher("echo", RecordingEvaluator(), max_queue_depth=0)
+            DynamicBatcher("echo", on_thread(RecordingEvaluator()), max_queue_depth=0)
 
 
 class TestFaultIsolation:
@@ -104,7 +113,7 @@ class TestFaultIsolation:
                     for job in jobs]
 
         async def run():
-            batcher = DynamicBatcher("echo", evaluate, max_linger=0.2)
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_linger=0.2)
             outcomes = await asyncio.gather(
                 batcher.submit("a"), batcher.submit("bad"),
                 batcher.submit("b"), return_exceptions=True)
@@ -128,7 +137,7 @@ class TestFaultIsolation:
             return [{"ok": True, "result": {"echo": job}} for job in jobs]
 
         async def run():
-            batcher = DynamicBatcher("echo", evaluate, max_linger=0.05)
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_linger=0.05)
             first = await asyncio.gather(
                 batcher.submit("x"), batcher.submit("y"),
                 return_exceptions=True)
@@ -148,7 +157,7 @@ class TestFaultIsolation:
             return [{"ok": True, "result": {}}] * (len(jobs) + 1)
 
         async def run():
-            batcher = DynamicBatcher("echo", evaluate, max_linger=0.01)
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_linger=0.01)
             with pytest.raises(EvaluationFailedError,
                                match="3 envelopes for 2 jobs"):
                 await asyncio.gather(batcher.submit("a"),
@@ -164,7 +173,7 @@ class TestAdmissionControl:
         evaluate = RecordingEvaluator(gate=gate)
 
         async def run():
-            batcher = DynamicBatcher("echo", evaluate, max_batch_size=1,
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_batch_size=1,
                                      max_linger=0.0, max_queue_depth=2)
             # First submission dispatches and pins the evaluator thread.
             first = asyncio.ensure_future(batcher.submit("dispatched"))
@@ -198,7 +207,7 @@ class TestAdmissionControl:
             return [{"ok": True, "result": {"echo": job}} for job in jobs]
 
         async def run():
-            batcher = DynamicBatcher("echo", evaluate, max_batch_size=1,
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_batch_size=1,
                                      max_linger=0.0)
             first = asyncio.ensure_future(batcher.submit("slow"))
             while not released:
@@ -223,7 +232,7 @@ class TestAdmissionControl:
         evaluate = RecordingEvaluator(gate=gate)
 
         async def run():
-            batcher = DynamicBatcher("echo", evaluate, max_batch_size=1,
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_batch_size=1,
                                      max_linger=0.0)
             first = asyncio.ensure_future(batcher.submit("pin"))
             while not evaluate.batches:
@@ -245,7 +254,7 @@ class TestGracefulDrain:
 
         async def run():
             # Linger far longer than the test: only close() can flush.
-            batcher = DynamicBatcher("echo", evaluate, max_batch_size=64,
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_batch_size=64,
                                      max_linger=30.0)
             waiters = [asyncio.ensure_future(batcher.submit(i))
                        for i in range(3)]
@@ -260,7 +269,7 @@ class TestGracefulDrain:
 
     def test_submit_after_close_is_refused(self):
         async def run():
-            batcher = DynamicBatcher("echo", RecordingEvaluator(),
+            batcher = DynamicBatcher("echo", on_thread(RecordingEvaluator()),
                                      max_linger=0.0)
             await batcher.close()
             assert batcher.closed
@@ -275,7 +284,7 @@ class TestGracefulDrain:
 
         async def run():
             batcher = DynamicBatcher(
-                "echo", RecordingEvaluator(), max_batch_size=2,
+                "echo", on_thread(RecordingEvaluator()), max_batch_size=2,
                 max_linger=0.2, on_batch=lambda kind, n: sizes.append((kind, n)))
             await asyncio.gather(*(batcher.submit(i) for i in range(4)))
             await batcher.close()
@@ -303,7 +312,7 @@ class TestDrainRobustness:
             raise RuntimeError("histogram backend exploded")
 
         async def run():
-            batcher = DynamicBatcher("echo", evaluate, max_batch_size=4,
+            batcher = DynamicBatcher("echo", on_thread(evaluate), max_batch_size=4,
                                      max_linger=0.01,
                                      on_batch=hostile_hook)
             first = await asyncio.gather(
@@ -324,7 +333,7 @@ class TestDrainRobustness:
         # a lane still sits in the queue.  close() must reject that lane
         # explicitly instead of returning with it parked forever.
         async def run():
-            batcher = DynamicBatcher("echo", RecordingEvaluator(),
+            batcher = DynamicBatcher("echo", on_thread(RecordingEvaluator()),
                                      max_linger=30.0)
             waiter = asyncio.ensure_future(batcher.submit(0))
             await asyncio.sleep(0.01)  # lane admitted, drain lingering

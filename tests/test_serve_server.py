@@ -7,14 +7,16 @@ thread while the test talks to it synchronously through
 
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro import NODE_100NM, units
-from repro.engine.jobs import DelayJob, canonical_json, job_to_dict
+from repro.engine.backends import Backend
+from repro.engine.jobs import DelayJob, canonical_json, job_to_dict, run_jobs
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.server import ServerThread
-from repro.serve.service import ReproService, evaluate_delay_batch
+from repro.serve.service import ReproService
 
 NH = units.NH_PER_MM
 
@@ -22,6 +24,27 @@ NH = units.NH_PER_MM
 def delay_job(l_nh=1.0):
     return DelayJob(line=NODE_100NM.line.with_inductance(l_nh * NH),
                     driver=NODE_100NM.driver, h=0.01, k=150.0)
+
+
+class ScriptedBackend(Backend):
+    """A backend whose dispatches run a scripted evaluator, each on its
+    own thread (off the event loop, as a pool backend's would)."""
+
+    def __init__(self, evaluate):
+        super().__init__()
+        self.evaluate = evaluate
+
+    def submit(self, jobs):
+        future = Future()
+
+        def run():
+            try:
+                future.set_result(self.evaluate(list(jobs)))
+            except Exception as exc:  # noqa: BLE001 — the dispatch fails
+                future.set_exception(exc)
+
+        threading.Thread(target=run, daemon=True).start()
+        return future
 
 
 @pytest.fixture()
@@ -104,10 +127,10 @@ class TestGracefulShutdown:
         def slow_delay_batch(jobs):
             started.set()
             time.sleep(0.3)
-            return evaluate_delay_batch(jobs)
+            return run_jobs(jobs)
 
         service = ReproService(cache=None, max_linger=0.0,
-                               evaluators={"delay": slow_delay_batch})
+                               backend=ScriptedBackend(slow_delay_batch))
         handle = ServerThread(service).start()
         job = delay_job()
         outcome = {}

@@ -11,10 +11,12 @@ leaving them hanging.
 
 import asyncio
 import threading
+from concurrent.futures import Future
 
 import pytest
 
 from repro import NODE_100NM, units
+from repro.engine.backends import Backend
 from repro.engine.jobs import DelayJob, canonical_json
 from repro.engine.store import MemoryStore
 from repro.serve.protocol import EvaluationFailedError, ServeRequest
@@ -26,6 +28,27 @@ NH = units.NH_PER_MM
 def delay_job(l_nh=1.0):
     return DelayJob(line=NODE_100NM.line_with_inductance(l_nh * NH),
                     driver=NODE_100NM.driver, h=0.01, k=150.0)
+
+
+class ScriptedBackend(Backend):
+    """A backend whose dispatches run a scripted evaluator, each on its
+    own thread (off the event loop, as a pool backend's would)."""
+
+    def __init__(self, evaluate):
+        super().__init__()
+        self.evaluate = evaluate
+
+    def submit(self, jobs):
+        future = Future()
+
+        def run():
+            try:
+                future.set_result(self.evaluate(list(jobs)))
+            except Exception as exc:  # noqa: BLE001 — the dispatch fails
+                future.set_exception(exc)
+
+        threading.Thread(target=run, daemon=True).start()
+        return future
 
 
 class ProbeStore(MemoryStore):
@@ -117,7 +140,7 @@ class TestSingleFlightCoalescing:
         calls, lanes = [], []
         service = ReproService(
             cache=None, max_linger=0.0,
-            evaluators={"delay": self._counting_evaluator(calls, lanes)})
+            backend=ScriptedBackend(self._counting_evaluator(calls, lanes)))
         job = delay_job()
 
         async def run():
@@ -145,7 +168,7 @@ class TestSingleFlightCoalescing:
         calls, lanes = [], []
         service = ReproService(
             cache=None, max_linger=0.2,
-            evaluators={"delay": self._counting_evaluator(calls, lanes)})
+            backend=ScriptedBackend(self._counting_evaluator(calls, lanes)))
         jobs = [delay_job(l_nh) for l_nh in (0.5, 1.0, 1.5)]
 
         async def run():
@@ -166,7 +189,7 @@ class TestSingleFlightCoalescing:
         calls, lanes = [], []
         service = ReproService(
             cache=None, max_linger=0.2,
-            evaluators={"delay": self._counting_evaluator(calls, lanes)})
+            backend=ScriptedBackend(self._counting_evaluator(calls, lanes)))
         job = delay_job()
 
         async def run():
@@ -188,7 +211,7 @@ class TestSingleFlightCoalescing:
                      "error_type": "DelaySolverError"} for _ in jobs]
 
         service = ReproService(cache=None, max_linger=0.0,
-                               evaluators={"delay": explode})
+                               backend=ScriptedBackend(explode))
         job = delay_job()
 
         async def run():
@@ -216,7 +239,7 @@ class TestSingleFlightCoalescing:
         calls, lanes = [], []
         service = ReproService(
             cache=None, max_linger=0.0,
-            evaluators={"delay": self._counting_evaluator(calls, lanes)})
+            backend=ScriptedBackend(self._counting_evaluator(calls, lanes)))
         job = delay_job()
 
         async def run():
@@ -239,7 +262,7 @@ class TestSingleFlightCoalescing:
         calls, lanes = [], []
         service = ReproService(
             cache=store, max_linger=0.0,
-            evaluators={"delay": self._counting_evaluator(calls, lanes)})
+            backend=ScriptedBackend(self._counting_evaluator(calls, lanes)))
         job = delay_job()
 
         async def run():
@@ -273,7 +296,7 @@ class TestFollowerDeadline:
             return [{"ok": True, "result": {"tau": 2.0}} for _ in jobs]
 
         service = ReproService(cache=None, max_linger=0.0,
-                               evaluators={"delay": slow})
+                               backend=ScriptedBackend(slow))
         job = delay_job()
 
         async def run():
