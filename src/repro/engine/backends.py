@@ -438,11 +438,6 @@ class ProcessBackend(_PoolBackend):
         return ProcessPoolExecutor(max_workers=self._workers,
                                    initializer=_warm_worker)
 
-    def _dispatch(self, fn: Callable[..., Any], *args: Any) -> Future:
-        if _faults.ACTIVE is not None:
-            _faults.fire("executor.pool.broken")
-        return super()._dispatch(fn, *args)
-
 
 # ----------------------------------------------------------------------
 # The factory every consumer layer constructs through.

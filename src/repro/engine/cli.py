@@ -23,7 +23,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .backends import BACKEND_NAMES
 from .executor import BatchExecutor, BatchReport
 from .manifest import ManifestError, load_manifest
 from .store import add_store_arguments, store_from_args
@@ -41,10 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("manifest", help="path to the job manifest")
     run_parser.add_argument("--jobs", type=int, default=1, metavar="N",
                             help="worker processes (1 = serial in-process)")
-    run_parser.add_argument("--backend", choices=BACKEND_NAMES,
-                            default=None,
-                            help="execution backend (default: serial "
-                                 "when --jobs 1, process otherwise)")
     run_parser.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="result cache directory (default: "
                                  "$REPRO_CACHE_DIR or ./.repro-cache)")
@@ -103,19 +98,14 @@ def _run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"repro-batch: {exc}", file=sys.stderr)
             return 2
-    with BatchExecutor(jobs=args.jobs, cache=cache,
-                       backend=args.backend) as executor:
+    with BatchExecutor(jobs=args.jobs, cache=cache) as executor:
         report = executor.run(job_specs)
 
     print(_format_results_table(report))
     print()
     print(report.metrics.format_summary())
     if cache is not None:
-        root = getattr(cache, "root", None)
-        if root is not None:
-            print(f"cache dir: {root}")
-        else:
-            print(f"cache: {cache.name} store (in-process)")
+        print(f"cache dir: {cache.root}")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -132,19 +122,16 @@ def _cache(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"repro-batch: {exc}", file=sys.stderr)
         return 2
-    root = getattr(cache, "root", None)
     if args.action == "stats":
         print(cache.stats().format_summary())
         tier_stats = getattr(cache, "tier_stats", None)
         if tier_stats is not None:
             for tier, stats in tier_stats().items():
                 print(f"  {tier}: {stats.format_summary()}")
-        if root is not None:
-            print(f"cache dir: {root}")
+        print(f"cache dir: {cache.root}")
         return 0
     removed = cache.clear()
-    where = f" from {root}" if root is not None else ""
-    print(f"removed {removed} cached results{where}")
+    print(f"removed {removed} cached results from {cache.root}")
     return 0
 
 

@@ -25,15 +25,14 @@ Guarantees:
   lives in the job layer (:class:`repro.engine.jobs.OptimizeJob`), so
   every backend applies the same recovery.
 * **Caching** — with a :class:`repro.engine.store.ResultStore` attached
-  (disk, memory, or tiered — see :func:`repro.engine.store.make_store`),
+  (disk or tiered — see :func:`repro.engine.store.make_store`),
   hits are served in-process without dispatching work and fresh
   successes are written back.  Failures are never cached.
 * **Deduplication** — duplicate specs inside one batch collapse to a
-  single evaluation through a
-  :class:`~repro.engine.store.SingleFlight` table (shareable across
-  racing executors): the leader's envelope fans out to every duplicate
-  lane, so N identical manifest rows cost one solver run and still
-  emit N identical payloads.
+  single evaluation through the executor's
+  :class:`~repro.engine.store.SingleFlight` table: the leader's envelope
+  fans out to every duplicate lane, so N identical manifest rows cost
+  one solver run and still emit N identical payloads.
 
 The serial backend (``jobs=1``, the default) runs everything in-process:
 monkeypatching and shared ``lru_cache`` state behave exactly as direct
@@ -142,22 +141,15 @@ class BatchExecutor:
         :class:`~repro.engine.backends.Backend` instance to share.  The
         executor owns (and ``close()``\\ s) a backend it built from a
         name; a shared instance stays the caller's to close.
-    flights:
-        Optional shared :class:`~repro.engine.store.SingleFlight` table.
-        Duplicate specs within one batch always collapse to a single
-        evaluation (the leader's envelope fans out to every duplicate
-        lane); passing a shared table additionally collapses identical
-        specs across *racing* executors in the same process.
     """
 
     def __init__(self, jobs: int = 1, *, cache: Optional[ResultStore] = None,
-                 backend: Optional[Union[str, Backend]] = None,
-                 flights: Optional[SingleFlight] = None) -> None:
+                 backend: Optional[Union[str, Backend]] = None) -> None:
         if jobs < 1:
             raise ValueError(f"worker count must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.flights = flights if flights is not None else SingleFlight()
+        self.flights = SingleFlight()
         self._owns_backend = not isinstance(backend, Backend)
         if backend is None:
             backend = "serial" if jobs == 1 else "process"
@@ -206,13 +198,11 @@ class BatchExecutor:
                 pending.append(index)
 
         # Single-flight above the backend seam: one leader per unique
-        # spec hash.  Duplicate specs in this batch — and identical
-        # specs a racing executor sharing this flight table already
-        # has in the air — follow the leader's envelope instead of
-        # dispatching their own evaluation.  Leaders are dispatched in
-        # per-worker chunks and collected in order; a lane's payload does
-        # not depend on its chunk, so jobs=N stays bitwise identical to
-        # jobs=1.
+        # spec hash.  Duplicate specs in this batch follow the leader's
+        # envelope instead of dispatching their own evaluation.  Leaders
+        # are dispatched in per-worker chunks and collected in order; a
+        # lane's payload does not depend on its chunk, so jobs=N stays
+        # bitwise identical to jobs=1.
         leaders: List[int] = []
         leader_flights: Dict[int, Flight] = {}
         followers: List[tuple] = []
@@ -228,9 +218,9 @@ class BatchExecutor:
         try:
             envelopes = self._evaluate([job_list[i] for i in leaders])
         except BaseException as exc:
-            # A whole-batch dispatch failure must still resolve every
-            # leader's flight, or followers (here or in racing runs)
-            # would wait forever on an evaluation nobody is running.
+            # A whole-batch dispatch failure must still resolve (and so
+            # remove) every leader's flight, or the executor's next run
+            # of the same spec would follow a flight nobody is running.
             for index in leaders:
                 self.flights.publish_error(leader_flights[index], exc)
             raise

@@ -8,21 +8,23 @@ through one :class:`ResultStore` seam:
 * :class:`DiskStore` — the content-addressed on-disk store: records
   sharded by the first two key hex digits, written atomically;
 * :class:`MemoryStore` — a byte-budgeted LRU of decoded payloads; hits
-  never touch the filesystem;
+  never touch the filesystem.  It is the memory tier of
+  :class:`TieredStore`: alone it would start empty in every one-shot
+  CLI process;
 * :class:`TieredStore` — memory over disk: write-through puts,
   promote-on-hit, memory hits never open a file.
 
 Stores are selected by name through :func:`make_store`, mirroring
 :func:`repro.engine.backends.make_backend`, so every CLI shares one
-``--store {disk,memory,tiered}`` vocabulary.
+``--store {disk,tiered}`` vocabulary.
 
 On top of the store sits :class:`SingleFlight`, a coalescer keyed on the
 spec hash: concurrent identical evaluations — duplicate specs in one
-batch, racing executors sharing a flight table — collapse to one
-evaluation whose outcome fans out to every waiter.  A leader that dies
-before publishing resolves its flight with the failure, so followers
-are always *answered or rejected*, never hung (the invariant the fault
-harness drives through ``store.singleflight.leader_crash``).
+executor batch, racing callers of :meth:`SingleFlight.do` — collapse to
+one evaluation whose outcome fans out to every waiter.  A leader that
+dies before publishing resolves its flight with the failure, so
+followers are always *answered or rejected*, never hung (the invariant
+the fault harness drives through ``store.singleflight.leader_crash``).
 
 The cache key of a job is ``SHA-256(canonical-JSON(spec) + "\\0" + salt)``
 where the salt is a digest of the ``repro`` package source
@@ -56,7 +58,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Selectable store names, in the order CLIs advertise them.
-STORE_NAMES = ("disk", "memory", "tiered")
+STORE_NAMES = ("disk", "tiered")
 
 #: Default byte budget for the memory tier (64 MiB).
 DEFAULT_MEMORY_BUDGET = 64 * 1024 * 1024
@@ -564,8 +566,6 @@ def make_store(store: Any = None, *,
     name = "disk" if store is None else str(store).lower()
     if name == "disk":
         return DiskStore(root, salt=salt)
-    if name == "memory":
-        return MemoryStore(max_bytes, salt=salt)
     if name == "tiered":
         return TieredStore(root=root, max_bytes=max_bytes, salt=salt)
     raise ValueError(f"unknown store {store!r}; choose from "
@@ -580,13 +580,13 @@ def add_store_arguments(parser: Any) -> None:
     vocabulary and resolves it through :func:`store_from_args`.
     """
     parser.add_argument("--store", choices=STORE_NAMES, default=None,
-                        help="result store flavor: disk (default), "
-                             "memory (byte-budgeted LRU), or tiered "
-                             "(memory over disk)")
+                        help="result store flavor: disk (default) "
+                             "or tiered (a byte-budgeted memory LRU "
+                             "over disk)")
     parser.add_argument("--store-mem-mb", type=int, default=64,
                         metavar="MB",
                         help="memory-tier budget in MiB for --store "
-                             "memory/tiered (default: 64)")
+                             "tiered (default: 64)")
 
 
 def store_from_args(args: Any, *,
@@ -612,8 +612,6 @@ def describe_store(store: Optional[ResultStore]) -> str:
     if isinstance(store, TieredStore):
         return (f"tiered ({store.root}, memory<= "
                 f"{store.memory.max_bytes} bytes)")
-    if isinstance(store, MemoryStore):
-        return f"memory (<= {store.max_bytes} bytes)"
     root = getattr(store, "root", None)
     return f"{store.name} ({root})" if root is not None else store.name
 

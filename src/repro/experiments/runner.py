@@ -12,9 +12,9 @@ Usage::
 couple of minutes; the default settings match the paper's resolution.
 
 Every experiment is submitted through the batch engine
-(:mod:`repro.engine`) as one ``ExperimentJob``.  The default backend is
-the serial in-process executor (identical behaviour to calling the
-experiment functions directly); ``--jobs N`` fans the requested
+(:mod:`repro.engine`) as one ``ExperimentJob``.  ``--jobs 1`` (the
+default) evaluates serially in-process (identical behaviour to calling
+the experiment functions directly); ``--jobs N`` fans the requested
 experiments out over N worker processes and ``--cache`` replays
 previously computed experiments from the content-addressed result cache.
 """
@@ -27,7 +27,6 @@ import sys
 import time
 from typing import Iterable
 
-from ..engine.backends import BACKEND_NAMES
 from ..engine.executor import BatchExecutor
 from ..engine.store import add_store_arguments, store_from_args
 from ..engine.jobs import ExperimentJob
@@ -71,10 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--jobs", type=int, default=1, metavar="N",
                             help="worker processes for the batch engine "
                                  "(1 = serial in-process)")
-    run_parser.add_argument("--backend", choices=BACKEND_NAMES,
-                            default=None,
-                            help="execution backend (default: serial "
-                                 "when --jobs 1, process otherwise)")
     run_parser.add_argument("--cache", action="store_true",
                             help="replay results from the engine's "
                                  "content-addressed cache when possible")
@@ -111,6 +106,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{experiment_id:10s} {DESCRIPTIONS[experiment_id]}")
         return 0
 
+    if args.jobs < 1:
+        raise SystemExit(f"repro-experiments: --jobs must be >= 1, "
+                         f"got {args.jobs}")
     ids = resolve_ids(args.ids)
     job_specs = []
     for experiment_id in ids:
@@ -124,8 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             raise SystemExit(f"repro-experiments: {exc}")
     start = time.perf_counter()
-    with BatchExecutor(jobs=args.jobs, cache=cache,
-                       backend=args.backend) as executor:
+    with BatchExecutor(jobs=args.jobs, cache=cache) as executor:
         batch = executor.run(job_specs)
 
     reports = []

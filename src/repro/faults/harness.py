@@ -35,7 +35,7 @@ import random
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import hooks
 from .plan import FAULT_POINTS, FaultPlan, FaultRule
@@ -463,48 +463,7 @@ def _drive_engine(plan: FaultPlan, report: RunReport,
                                  f"cached result (errors must never be "
                                  f"cached)")
 
-    if any(rule.site == "executor.pool.broken" for rule in plan.rules):
-        _drive_broken_pool(plan, report, jobs[:4])
     _check_cache_integrity(plan, report, cache)
-
-
-def _drive_broken_pool(plan: FaultPlan, report: RunReport,
-                       jobs: Sequence[Any]) -> None:
-    """The pool-death path must fail loud, with actionable context."""
-    from ..engine.executor import BatchExecutor
-
-    rules = [rule for rule in plan.rules
-             if rule.site == "executor.pool.broken"]
-    # One pool run triggers the site once; nth/first rules need enough
-    # runs to reach their count.  Probabilistic rules may legitimately
-    # never fire within the budget.
-    attempts = min(5, max([rule.n for rule in rules
-                           if rule.mode in ("nth", "first")] + [1]))
-    deterministic = any(
-        rule.mode == "always"
-        or (rule.mode in ("nth", "first") and rule.n <= attempts)
-        for rule in rules)
-    executor = BatchExecutor(jobs=2)
-    fired = False
-    try:
-        for _ in range(attempts):
-            try:
-                with hooks.active(plan):
-                    executor.run(list(jobs))
-            except RuntimeError as exc:
-                fired = True
-                if "re-run with jobs=1" not in str(exc):
-                    report.violation(
-                        "answered",
-                        f"broken-pool error lacks recovery context: {exc}")
-                break
-    finally:
-        executor.close()
-    if deterministic and not fired:
-        report.violation(
-            "answered",
-            "executor.pool.broken was armed deterministically but the "
-            "pool runs all succeeded")
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +479,13 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
     injected site's own name), and — the restart invariant — once a
     failure has been observed, a later run on the *same executor* must
     succeed: a process backend that lost a worker rebuilds its pool
-    instead of staying broken.
+    instead of staying broken.  That is demanded only while every armed
+    backend rule fires a bounded number of times (``nth``/``first``); a
+    ``prob`` or ``always`` rule may fail every run.  Backend sites fail
+    dispatches, never lanes, so a failed lane is an isolation violation
+    when only backend sites are armed; a mixed plan may fail lanes
+    through its other sites, and each such lane must carry a typed
+    error.
 
     Serve second: a :class:`ReproService` whose batchers share a
     backend of the same flavor evaluates the delay workload.  Every
@@ -540,6 +505,9 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
     crash_armed = any(rule.site == "backend.worker.crash"
                       for rule in plan.rules)
     backend_name = "process" if crash_armed else "thread"
+    backend_only = all(rule.site in BACKEND_SITES for rule in plan.rules)
+    must_recover = all(rule.mode in ("nth", "first") for rule in plan.rules
+                       if rule.site in BACKEND_SITES)
 
     # -- engine ----------------------------------------------------------
     executor = BatchExecutor(jobs=2, backend=backend_name)
@@ -562,15 +530,23 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
                         f"backend dispatch failed without recovery "
                         f"context: {exc}")
                 continue
-            report.responses_ok += len(workload["delay"])
             for index, outcome in enumerate(batch.outcomes):
                 if not outcome.ok:
-                    report.violation(
-                        "isolation",
-                        f"backend delay[{index}] failed under a "
-                        f"dispatch-plane fault (lane isolation must "
-                        f"not be affected): {outcome.error}")
-                elif (_normalized(outcome.result)
+                    report.responses_error += 1
+                    if backend_only:
+                        report.violation(
+                            "isolation",
+                            f"backend delay[{index}] failed under a "
+                            f"dispatch-plane fault (lane isolation must "
+                            f"not be affected): {outcome.error}")
+                    elif not (outcome.error and outcome.error_type):
+                        report.violation(
+                            "answered",
+                            f"backend delay[{index}] failed without "
+                            f"error context: {outcome!r}")
+                    continue
+                report.responses_ok += 1
+                if (_normalized(outcome.result)
                         != truths["delay"][index]):
                     report.violation(
                         "bitwise",
@@ -581,7 +557,7 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
                 break
     finally:
         executor.close()
-    if saw_failure and not saw_recovery:
+    if saw_failure and not saw_recovery and must_recover:
         report.violation(
             "answered",
             f"{backend_name} backend never recovered: every run after "
@@ -641,7 +617,8 @@ def _drive_store(plan: FaultPlan, report: RunReport,
     """Drive the result-store plane under ``plan``.
 
     Phase A (deterministic, single-threaded): every delay job is
-    evaluated through :meth:`SingleFlight.do` and written through a
+    evaluated through :meth:`SingleFlight.do`, behind the non-finite
+    screen every entry point applies, and written through a
     :class:`TieredStore` whose memory tier holds ~2.5 records, so the
     put sequence reaches eviction (``store.memory.evict_race``) and
     shard creation (``store.disk.shard_unwritable``); each ``do``
@@ -660,6 +637,7 @@ def _drive_store(plan: FaultPlan, report: RunReport,
     """
     import threading
 
+    from ..engine.jobs import screen_nonfinite
     from ..engine.store import DiskStore, MemoryStore, SingleFlight, \
         TieredStore
 
@@ -682,7 +660,8 @@ def _drive_store(plan: FaultPlan, report: RunReport,
         for index, job in enumerate(jobs):
             report.requests_sent += 1
             try:
-                result = flights.do(store.key(job), job.run)
+                result = flights.do(
+                    store.key(job), lambda: screen_nonfinite(job.run()))
             except Exception as exc:
                 report.responses_error += 1
                 if plan_inert:
@@ -859,7 +838,6 @@ SITE_RULES: Dict[str, Dict[str, Any]] = {
     "cache.put.stale_tmp": {"mode": "nth", "n": 1},
     "executor.job.error": {"mode": "nth", "n": 2},
     "executor.job.hang": {"mode": "nth", "n": 1, "delay": 0.01},
-    "executor.pool.broken": {"mode": "nth", "n": 1},
     "optimize.warm_start": {"mode": "nth", "n": 1},
     "kernels.threshold_delay.nan_lane": {"mode": "nth", "n": 1},
     "serve.optimize.lane_error": {"mode": "nth", "n": 1},

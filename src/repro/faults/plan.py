@@ -84,9 +84,6 @@ FAULT_POINTS: Dict[str, FaultPoint] = {point.name: point for point in [
     FaultPoint("executor.job.hang",
                "a job stalls inside the executor (sleep past deadlines)",
                "engine", "delay"),
-    FaultPoint("executor.pool.broken",
-               "the process pool breaks (a worker died mid-chunk)",
-               "engine", "raise"),
     FaultPoint("optimize.warm_start",
                "the optimizer's warm start diverges, forcing the RC "
                "re-seed retry",
@@ -168,7 +165,6 @@ _DEFAULT_EXCEPTIONS = {
     "cache.get.os_error": "OSError",
     "cache.put.os_error": "OSError",
     "executor.job.error": "RuntimeError",
-    "executor.pool.broken": "BrokenProcessPool",
     "optimize.warm_start": "OptimizationError",
     "batcher.evaluate.error": "RuntimeError",
     "server.read.drop": "ConnectionError",

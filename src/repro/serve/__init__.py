@@ -21,9 +21,8 @@ Modules: :mod:`~repro.serve.protocol` (wire format + error codes),
 :mod:`~repro.serve.service` (cache, batcher and metrics wiring),
 :mod:`~repro.serve.metrics` (the ``/metrics`` registry),
 :mod:`~repro.serve.server` / :mod:`~repro.serve.client` (stdlib HTTP
-front end and blocking client), :mod:`~repro.serve.bench` (the
-micro-batched vs batch-size-1 benchmark) and :mod:`~repro.serve.cli`
-(the ``repro-serve`` command).
+front end and blocking client) and :mod:`~repro.serve.cli` (the
+``repro-serve`` command).
 """
 
 from .batcher import (DEFAULT_MAX_BATCH_SIZE, DEFAULT_MAX_LINGER,

@@ -6,14 +6,12 @@ Usage::
     repro-serve serve --no-cache --queue-depth 512 --default-timeout 30
     repro-serve request --url http://127.0.0.1:8451 request.json
     echo '{"kind": "delay", ...}' | repro-serve request -
-    repro-serve bench --requests 256 --out BENCH_serve.json
 
 ``serve`` runs the asyncio server in the foreground until SIGINT/SIGTERM,
 then drains gracefully (in-flight and queued requests all complete) and
 prints the metrics summary.  ``request`` posts one JSON request document
 — or a JSON-lines file of several, which the server micro-batches — and
-pretty-prints the response(s).  ``bench`` runs the in-process
-micro-batching benchmark without sockets.
+pretty-prints the response(s).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import Any, List, Optional
 from ..engine.backends import BACKEND_NAMES
 from ..engine.store import add_store_arguments, describe_store, \
     store_from_args
-from .bench import run_backend_benchmark, run_benchmark, strip_responses
 from .client import ServeClient, ServeClientError
 from .server import ReproServer
 from .service import ReproService
@@ -86,23 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     request_parser.add_argument("--timeout", type=float, default=30.0,
                                 help="client-side socket timeout")
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="in-process micro-batching throughput benchmark")
-    bench_parser.add_argument("--requests", type=int, default=256,
-                              metavar="N")
-    bench_parser.add_argument("--reps", type=int, default=3, metavar="N",
-                              help="repetitions per arm (best-of)")
-    bench_parser.add_argument("--max-batch-size", type=int, default=None,
-                              metavar="N",
-                              help="batched arm's cap (default: N requests)")
-    bench_parser.add_argument("--backends", action="store_true",
-                              help="run the thread-vs-process backend "
-                                   "benchmark (optimize-heavy stream) "
-                                   "instead of the micro-batching one")
-    bench_parser.add_argument("--workers", type=int, default=4, metavar="N",
-                              help="backend workers for --backends")
-    bench_parser.add_argument("--out", default=None, metavar="FILE",
-                              help="write the JSON report here")
     return parser
 
 
@@ -204,56 +184,12 @@ def _request(args: argparse.Namespace) -> int:
     return 0 if all(r.get("ok") for r in responses) else 1
 
 
-# ----------------------------------------------------------------------
-# bench
-# ----------------------------------------------------------------------
-def _bench(args: argparse.Namespace) -> int:
-    if args.requests < 1 or args.reps < 1:
-        print("repro-serve: --requests and --reps must be >= 1",
-              file=sys.stderr)
-        return 2
-    if args.backends:
-        if args.workers < 1:
-            print("repro-serve: --workers must be >= 1", file=sys.stderr)
-            return 2
-        report = run_backend_benchmark(
-            args.requests, workers=args.workers, reps=args.reps,
-            max_batch_size=args.max_batch_size or 6)
-        persisted = strip_responses(report)
-        print(f"{report['requests']} optimize requests, "
-              f"{report['workers']} workers: "
-              f"process {report['process']['seconds']:.4f}s "
-              f"({report['process']['throughput_rps']:.0f} req/s) vs "
-              f"thread {report['thread']['seconds']:.4f}s "
-              f"({report['thread']['throughput_rps']:.0f} req/s) -> "
-              f"{report['process_over_thread']:.2f}x")
-    else:
-        report = run_benchmark(args.requests, reps=args.reps,
-                               max_batch_size=args.max_batch_size)
-        persisted = strip_responses(report)
-        print(f"{report['requests']} requests: "
-              f"batched {report['batched']['seconds']:.4f}s "
-              f"({report['batched']['throughput_rps']:.0f} req/s) vs "
-              f"solo {report['solo']['seconds']:.4f}s "
-              f"({report['solo']['throughput_rps']:.0f} req/s) -> "
-              f"{report['speedup']:.2f}x")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(persisted, handle, indent=2, sort_keys=True,
-                      allow_nan=False)
-            handle.write("\n")
-        print(f"report written to {args.out}")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
     if args.command == "serve":
         return _serve(args)
-    if args.command == "request":
-        return _request(args)
-    return _bench(args)
+    return _request(args)
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ numbers moved.
 Caching is **off by default**: the engine store salts its keys with a
 digest of the ``repro`` source only, so a warm cache would replay
 observations across numpy/scipy upgrades — exactly the drift this tool
-exists to catch.  Pass ``--cache-dir`` to opt in for repeated sweeps in
-an unchanging environment.
+exists to catch.  Pass ``--cache-dir`` or ``--store`` to opt in for
+repeated sweeps in an unchanging environment.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from ..engine.backends import BACKEND_NAMES
 from ..engine.executor import BatchExecutor
 from ..engine.store import add_store_arguments, store_from_args
 from .cases import VerifyCase, default_case_matrix, load_case_matrix
@@ -55,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                               f"(default: all of {','.join(oracle_names())})")
         sub.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes (1 = serial in-process)")
-        sub.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                         help="execution backend (default: serial when "
-                              "--jobs 1, process otherwise)")
         sub.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="opt-in engine result cache (off by default "
                               "so stale results cannot mask regressions)")
@@ -107,14 +103,11 @@ def _setup(args: argparse.Namespace
         names = oracle_names()
     cache = None
     if args.cache_dir or args.store:
-        # --store memory opts in to caching without touching disk — a
-        # bounded replay tier for repeated sweeps on unchanging code.
         try:
             cache = store_from_args(args)
         except ValueError as exc:
             raise SystemExit(f"repro-verify: {exc}")
-    executor = BatchExecutor(jobs=args.jobs, cache=cache,
-                             backend=args.backend)
+    executor = BatchExecutor(jobs=args.jobs, cache=cache)
     return cases, names, executor
 
 

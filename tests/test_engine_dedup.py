@@ -10,7 +10,6 @@ output at every ``--jobs`` value.
 
 import json
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict
 
@@ -19,7 +18,8 @@ import pytest
 from repro import NODE_100NM, units
 from repro.engine.executor import BatchExecutor
 from repro.engine.jobs import DelayJob, canonical_json
-from repro.engine.store import DiskStore, SingleFlight, flight_key
+from repro.engine.store import DiskStore
+from repro.faults import FaultPlan, FaultRule, hooks
 
 NH = units.NH_PER_MM
 
@@ -148,62 +148,30 @@ class TestBitwiseAcrossJobs:
                 == canonical_json(job.run())
 
 
-class TestCrossExecutorFlights:
-    def test_shared_flight_table_collapses_across_executors(self):
-        """An executor whose job is already in flight elsewhere waits
-        for that leader's envelope instead of evaluating."""
-        flights = SingleFlight()
-        job = CountingJob("shared")
-        leader, flight = flights.acquire(flight_key(job))
-        assert leader
-
-        executor = BatchExecutor(jobs=1, flights=flights)
-        holder = {}
-        thread = threading.Thread(
-            target=lambda: holder.update(report=executor.run([job])))
-        thread.start()
-        deadline = time.monotonic() + 10.0
-        while flights.stats()["followers"] < 1:
-            assert time.monotonic() < deadline, "executor never joined"
-            time.sleep(0.001)
-        flights.publish(flight, {"ok": True,
-                                 "result": {"tag": "shared",
-                                            "value": 7.0},
-                                 "wall_time": 0.5})
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-
-        outcome = holder["report"].outcomes[0]
-        assert outcome.ok
-        assert outcome.deduped
-        assert outcome.result == {"tag": "shared", "value": 7.0}
-        assert _RUNS == {}              # this executor never evaluated
-        assert holder["report"].metrics.deduplicated == 1
-
-    def test_leader_error_rejects_cross_executor_follower(self):
-        flights = SingleFlight()
-        job = CountingJob("shared")
-        leader, flight = flights.acquire(flight_key(job))
-        assert leader
-
-        executor = BatchExecutor(jobs=1, flights=flights)
-        holder = {}
-        thread = threading.Thread(
-            target=lambda: holder.update(report=executor.run([job])))
-        thread.start()
-        deadline = time.monotonic() + 10.0
-        while flights.stats()["followers"] < 1:
-            assert time.monotonic() < deadline, "executor never joined"
-            time.sleep(0.001)
-        flights.publish_error(flight, RuntimeError("leader died"))
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-
-        outcome = holder["report"].outcomes[0]
-        assert not outcome.ok
-        assert outcome.error_type == "RuntimeError"
-        assert "leader died" in outcome.error
-        assert _RUNS == {}
+class TestFollowerError:
+    def test_leader_crash_rejects_in_batch_duplicate(self, tmp_path):
+        """A leader that dies before publishing fails its own lane and its
+        in-batch duplicate with one error; other lanes are untouched and
+        nothing of the crashed spec is cached."""
+        job, other = delay_job(0.5), delay_job(1.0)
+        cache = DiskStore(tmp_path)
+        plan = FaultPlan(rules=[FaultRule(
+            site="store.singleflight.leader_crash", mode="nth", n=1)])
+        with hooks.active(plan):
+            report = BatchExecutor(jobs=1, cache=cache).run(
+                [job, other, job])
+        leader, middle, follower = report.outcomes
+        assert not leader.ok
+        assert leader.error_type == "RuntimeError"
+        assert "store.singleflight.leader_crash" in leader.error
+        assert not follower.ok
+        assert follower.deduped
+        assert follower.error == leader.error
+        assert follower.error_type == "RuntimeError"
+        assert middle.ok
+        assert cache.get(other) == middle.result
+        assert cache.get(job) is None
+        assert cache.stats().entries == 1
 
 
 class TestRunPayloadShape:

@@ -58,6 +58,36 @@ class TestPlanCommand:
         assert main(["plan", "--scenario", "bogus"]) == 2
 
 
+#: Mixed plans arming a backend-plane site beside a site that fails
+#: lanes (NaN lane, leader crash) or beside a ``prob`` backend rule that
+#: may fail every run.  Every lane is still answered or rejected, so each
+#: replay holds every invariant.
+MIXED_BACKEND_PLANS = {
+    "nan-lane+queue-full":
+        '{"rules":[{"mode":"nth","n":2,'
+        '"site":"kernels.threshold_delay.nan_lane"},'
+        '{"mode":"first","n":3,"site":"backend.dispatch.queue_full"}],'
+        '"seed":20260810}',
+    "leader-crash+hang":
+        '{"rules":[{"mode":"nth","n":1,'
+        '"site":"store.singleflight.leader_crash"},'
+        '{"delay":0.01,"mode":"first","n":1,'
+        '"site":"backend.worker.hang"}],"seed":20260813}',
+    "prob-queue-full+nan-lane":
+        '{"rules":[{"mode":"prob","p":0.7507730258526315,'
+        '"site":"backend.dispatch.queue_full"},'
+        '{"mode":"nth","n":1,"site":"kernels.threshold_delay.nan_lane"}],'
+        '"seed":6}',
+    "store+hang+prob-nan-lane":
+        '{"rules":[{"mode":"first","n":1,"site":"cache.put.os_error"},'
+        '{"mode":"first","n":2,"site":"store.memory.evict_race"},'
+        '{"delay":0.01,"mode":"first","n":2,'
+        '"site":"backend.worker.hang"},'
+        '{"mode":"prob","p":0.2562682245175638,'
+        '"site":"kernels.threshold_delay.nan_lane"}],"seed":9}',
+}
+
+
 class TestReplayCommand:
     def test_inert_plan_holds_all_invariants(self, capsys):
         assert main(["replay", '{"rules":[],"seed":0}']) == 0
@@ -73,6 +103,14 @@ class TestReplayCommand:
         plan_file = tmp_path / "plan.json"
         plan_file.write_text('{"rules":[],"seed":1}')
         assert main(["replay", f"@{plan_file}"]) == 0
+
+    @pytest.mark.parametrize("plan_string",
+                             list(MIXED_BACKEND_PLANS.values()),
+                             ids=list(MIXED_BACKEND_PLANS))
+    def test_mixed_backend_plan_holds_every_invariant(self, plan_string,
+                                                      capsys):
+        assert main(["replay", plan_string]) == 0
+        assert "invariants: all held" in capsys.readouterr().out
 
     def test_replay_twice_is_identical(self, capsys):
         """The determinism acceptance: same plan, same event sequence."""

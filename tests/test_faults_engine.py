@@ -65,7 +65,7 @@ class TestWorkerDeath:
         assert "re-run with jobs=1" in message
 
     def test_injected_pool_break_takes_same_path(self):
-        plan = FaultPlan(rules=[FaultRule(site="executor.pool.broken",
+        plan = FaultPlan(rules=[FaultRule(site="backend.worker.crash",
                                           mode="nth", n=1)])
         with hooks.active(plan):
             with pytest.raises(RuntimeError,

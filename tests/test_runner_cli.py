@@ -78,6 +78,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "fig99"])
 
+    def test_zero_jobs_is_refused_before_any_experiment_runs(self, capsys):
+        with pytest.raises(SystemExit, match="--jobs must be >= 1, got 0"):
+            main(["run", "fig2", "--jobs", "0"])
+        assert "fig2" not in capsys.readouterr().out
+
     def test_dedup_and_order_preserved(self, capsys):
         assert main(["run", "fig2", "fig2", "table1"]) == 0
         output = capsys.readouterr().out

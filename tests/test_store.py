@@ -136,9 +136,8 @@ class TestTieredStore:
 
 class TestMakeStore:
     def test_names_resolve(self, tmp_path):
-        assert STORE_NAMES == ("disk", "memory", "tiered")
+        assert STORE_NAMES == ("disk", "tiered")
         assert isinstance(make_store("disk", root=tmp_path), DiskStore)
-        assert isinstance(make_store("memory"), MemoryStore)
         assert isinstance(make_store("tiered", root=tmp_path), TieredStore)
 
     def test_default_is_disk(self, tmp_path):
@@ -157,12 +156,13 @@ class TestMakeStore:
     def test_max_bytes_reaches_memory_tier(self, tmp_path):
         store = make_store("tiered", root=tmp_path, max_bytes=123)
         assert store.memory.max_bytes == 123
-        assert make_store("memory").max_bytes == DEFAULT_MEMORY_BUDGET
+        assert make_store("tiered", root=tmp_path).memory.max_bytes \
+            == DEFAULT_MEMORY_BUDGET
 
     def test_describe_store(self, tmp_path):
         assert describe_store(None) == "off"
         assert str(tmp_path) in describe_store(make_store(root=tmp_path))
-        assert "memory" in describe_store(make_store("memory"))
+        assert describe_store(MemoryStore()) == "memory"
         assert "tiered" in describe_store(
             make_store("tiered", root=tmp_path))
 
