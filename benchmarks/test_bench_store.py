@@ -10,7 +10,7 @@ then times repeated hot gets against both and writes the timings to
 cache the tiered memory hits must be >= 5x faster than disk hits.
 
 Before timing anything, the run is an answer-preservation check: every
-store flavor (disk, memory, tiered), cold and replayed, produces
+store flavor (disk, tiered), cold and replayed, produces
 batch results bitwise identical to a cache-off run of the same
 manifest.  Set ``REPRO_BENCH_SMOKE=1`` for a reduced pass with no ratio
 assertion (CI smoke mode).

@@ -23,9 +23,8 @@ from .backends import (BACKEND_NAMES, Backend, BackendStats, ProcessBackend,
                        SerialBackend, ThreadBackend, make_backend)
 from .executor import BatchExecutor, BatchReport, JobOutcome
 from .store import (STORE_NAMES, CacheStats, DiskStore, MemoryStore,
-                    ResultStore, SingleFlight, TieredStore,
-                    code_version_salt, default_cache_dir, flight_key,
-                    make_store)
+                    ResultStore, TieredStore, code_version_salt,
+                    default_cache_dir, flight_key, make_store)
 from .jobs import (CriticalInductanceJob, DelayJob, ExperimentJob,
                    OptimizeJob, SweepJob, TransientJob, job_to_dict)
 from .manifest import ManifestError, load_manifest
@@ -38,7 +37,7 @@ __all__ = [
     "DelayJob", "DiskStore", "ExperimentJob", "JobMetrics",
     "JobOutcome", "ManifestError", "MemoryStore", "OptimizeJob",
     "ProcessBackend", "ResultStore", "STORE_NAMES",
-    "SerialBackend", "SingleFlight", "SweepJob", "ThreadBackend",
+    "SerialBackend", "SweepJob", "ThreadBackend",
     "TieredStore", "TransientJob", "code_version_salt",
     "default_cache_dir", "flight_key", "job_to_dict",
     "latency_percentiles", "load_manifest", "make_backend", "make_store",

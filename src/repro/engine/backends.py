@@ -10,7 +10,7 @@ dispatch (``asyncio.wrap_future``).  Each backend class defines only how
 a dispatch starts (``_dispatch``); the stats, the three ``backend.*``
 fault sites and the crash translation live once, on :class:`Backend`.
 
-Everything *above* the seam — cache lookups, single-flight dedup,
+Everything *above* the seam — cache lookups, in-batch dedup,
 metrics, submission-order collection — is backend-agnostic, and nothing
 below it touches result payloads, so every backend is bitwise identical
 to ``SerialBackend`` (``tests/test_backends.py`` asserts this for

@@ -91,13 +91,7 @@ def _run(args: argparse.Namespace) -> int:
         print(f"repro-batch: {exc}", file=sys.stderr)
         return 2
 
-    cache = None
-    if not args.no_cache:
-        try:
-            cache = store_from_args(args)
-        except ValueError as exc:
-            print(f"repro-batch: {exc}", file=sys.stderr)
-            return 2
+    cache = None if args.no_cache else store_from_args(args)
     with BatchExecutor(jobs=args.jobs, cache=cache) as executor:
         report = executor.run(job_specs)
 
@@ -117,11 +111,7 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _cache(args: argparse.Namespace) -> int:
-    try:
-        cache = store_from_args(args)
-    except ValueError as exc:
-        print(f"repro-batch: {exc}", file=sys.stderr)
-        return 2
+    cache = store_from_args(args)
     if args.action == "stats":
         print(cache.stats().format_summary())
         tier_stats = getattr(cache, "tier_stats", None)

@@ -2,7 +2,7 @@
 
 The executor turns a sequence of job specs into an ordered sequence of
 :class:`JobOutcome` records.  Everything that decides *what* runs and
-what the results mean — cache lookups, single-flight dedup,
+what the results mean — cache lookups, in-batch dedup,
 submission-order collection, metrics — lives here, *above* the backend
 seam; below it, :func:`repro.engine.jobs.run_jobs` evaluates each
 dispatched chunk (batching lanes per kind, applying the RC re-seed
@@ -29,10 +29,11 @@ Guarantees:
   hits are served in-process without dispatching work and fresh
   successes are written back.  Failures are never cached.
 * **Deduplication** — duplicate specs inside one batch collapse to a
-  single evaluation through the executor's
-  :class:`~repro.engine.store.SingleFlight` table: the leader's envelope
-  fans out to every duplicate lane, so N identical manifest rows cost
-  one solver run and still emit N identical payloads.
+  single evaluation: a dictionary from
+  :func:`~repro.engine.store.flight_key` to the first lane carrying it
+  names each spec's leader, and the leader's envelope fans out to every
+  duplicate lane, so N identical manifest rows cost one solver run and
+  still emit N identical payloads.
 
 The serial backend (``jobs=1``, the default) runs everything in-process:
 monkeypatching and shared ``lru_cache`` state behave exactly as direct
@@ -48,12 +49,12 @@ from __future__ import annotations
 import time
 from concurrent.futures import wait
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .backends import Backend, make_backend
 from .jobs import job_to_dict
 from .metrics import BatchMetrics, JobMetrics, iterations_of, trace_counts_of
-from .store import Flight, ResultStore, SingleFlight, flight_key
+from .store import ResultStore, flight_key
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,6 @@ class BatchExecutor:
             raise ValueError(f"worker count must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.flights = SingleFlight()
         self._owns_backend = not isinstance(backend, Backend)
         if backend is None:
             backend = "serial" if jobs == 1 else "process"
@@ -197,60 +197,24 @@ class BatchExecutor:
             else:
                 pending.append(index)
 
-        # Single-flight above the backend seam: one leader per unique
-        # spec hash.  Duplicate specs in this batch follow the leader's
-        # envelope instead of dispatching their own evaluation.  Leaders
-        # are dispatched in per-worker chunks and collected in order; a
-        # lane's payload does not depend on its chunk, so jobs=N stays
-        # bitwise identical to jobs=1.
-        leaders: List[int] = []
-        leader_flights: Dict[int, Flight] = {}
-        followers: List[tuple] = []
+        # Dedup above the backend seam: the first pending lane of each
+        # spec leads, and every later lane with the same flight key
+        # follows its leader's envelope instead of dispatching its own
+        # evaluation.  Leaders are dispatched in per-worker chunks and
+        # collected in order; a lane's payload does not depend on its
+        # chunk, so jobs=N stays bitwise identical to jobs=1.
+        leader_of: Dict[str, int] = {}
+        lanes: List[Tuple[int, int]] = []
         for index in pending:
-            is_leader, flight = self.flights.acquire(
-                flight_key(job_list[index]))
-            if is_leader:
-                leaders.append(index)
-                leader_flights[index] = flight
-            else:
-                followers.append((index, flight))
-
-        try:
-            envelopes = self._evaluate([job_list[i] for i in leaders])
-        except BaseException as exc:
-            # A whole-batch dispatch failure must still resolve (and so
-            # remove) every leader's flight, or the executor's next run
-            # of the same spec would follow a flight nobody is running.
-            for index in leaders:
-                self.flights.publish_error(leader_flights[index], exc)
-            raise
-
-        for index, envelope in zip(leaders, envelopes):
-            try:
-                self.flights.publish(leader_flights[index], envelope)
-            except Exception as exc:
-                # Injected leader crash: the flight already resolved
-                # with the failure (followers are answered); the
-                # leader's own lane reports the same failure.
-                envelope = {"ok": False, "error": str(exc),
-                            "error_type": type(exc).__name__,
-                            "traceback": "",
-                            "wall_time": envelope.get("wall_time", 0.0)}
+            lanes.append((index, leader_of.setdefault(
+                flight_key(job_list[index]), index)))
+        leaders = list(leader_of.values())
+        envelopes = dict(zip(leaders, self._evaluate(
+            [job_list[index] for index in leaders])))
+        for index, leader in lanes:
             outcomes[index] = self._outcome_from_envelope(
-                job_list[index], envelope)
-
-        for index, flight in followers:
-            outcome = flight.wait()
-            assert outcome is not None  # leaders always publish
-            status, value = outcome
-            if status == "error":
-                outcomes[index] = JobOutcome(
-                    job=job_list[index], error=str(value),
-                    error_type=type(value).__name__, traceback="",
-                    deduped=True)
-            else:
-                outcomes[index] = self._outcome_from_envelope(
-                    job_list[index], value, deduped=True)
+                job_list[index], envelopes[leader],
+                deduped=index != leader)
 
         for outcome in outcomes:
             assert outcome is not None

@@ -1,4 +1,4 @@
-"""One result plane: tiered pluggable result stores + single-flight dedup.
+"""One result plane: tiered pluggable result stores.
 
 Every layer that replays results — the engine's
 :class:`~repro.engine.executor.BatchExecutor`, the serve layer's
@@ -18,13 +18,9 @@ Stores are selected by name through :func:`make_store`, mirroring
 :func:`repro.engine.backends.make_backend`, so every CLI shares one
 ``--store {disk,tiered}`` vocabulary.
 
-On top of the store sits :class:`SingleFlight`, a coalescer keyed on the
-spec hash: concurrent identical evaluations — duplicate specs in one
-executor batch, racing callers of :meth:`SingleFlight.do` — collapse to
-one evaluation whose outcome fans out to every waiter.  A leader that
-dies before publishing resolves its flight with the failure, so
-followers are always *answered or rejected*, never hung (the invariant
-the fault harness drives through ``store.singleflight.leader_crash``).
+:func:`flight_key` is the salt-free spec hash both in-process dedups
+key on: the executor's per-batch dictionary of leader lanes and the
+serve layer's table of in-flight requests.
 
 The cache key of a job is ``SHA-256(canonical-JSON(spec) + "\\0" + salt)``
 where the salt is a digest of the ``repro`` package source
@@ -551,15 +547,14 @@ class TieredStore(ResultStore):
 # ----------------------------------------------------------------------
 def make_store(store: Any = None, *,
                root: "os.PathLike[str] | str | None" = None,
-               max_bytes: int = DEFAULT_MEMORY_BUDGET,
                salt: Optional[str] = None) -> ResultStore:
     """Resolve a store selection to a live :class:`ResultStore`.
 
     ``store`` may be a name from :data:`STORE_NAMES`, ``None`` (disk —
     today's behaviour), or an existing :class:`ResultStore` instance
     (returned as-is, so a shared instance can be threaded through
-    layers).  ``root`` selects the disk directory; ``max_bytes`` bounds
-    the memory tier.
+    layers).  ``root`` selects the disk directory; a tiered store's
+    memory tier gets :data:`DEFAULT_MEMORY_BUDGET`.
     """
     if isinstance(store, ResultStore):
         return store
@@ -567,13 +562,13 @@ def make_store(store: Any = None, *,
     if name == "disk":
         return DiskStore(root, salt=salt)
     if name == "tiered":
-        return TieredStore(root=root, max_bytes=max_bytes, salt=salt)
+        return TieredStore(root=root, salt=salt)
     raise ValueError(f"unknown store {store!r}; choose from "
                      f"{', '.join(STORE_NAMES)}")
 
 
 def add_store_arguments(parser: Any) -> None:
-    """Attach the shared ``--store``/``--store-mem-mb`` CLI options.
+    """Attach the shared ``--store`` CLI option.
 
     Every CLI that constructs a store (``repro-batch``, ``repro-serve``,
     ``repro-verify``, ``repro-experiments``) advertises the same
@@ -583,26 +578,13 @@ def add_store_arguments(parser: Any) -> None:
                         help="result store flavor: disk (default) "
                              "or tiered (a byte-budgeted memory LRU "
                              "over disk)")
-    parser.add_argument("--store-mem-mb", type=int, default=64,
-                        metavar="MB",
-                        help="memory-tier budget in MiB for --store "
-                             "tiered (default: 64)")
 
 
-def store_from_args(args: Any, *,
-                    root: "os.PathLike[str] | str | None" = None
-                    ) -> ResultStore:
+def store_from_args(args: Any) -> ResultStore:
     """Build the selected store from options parsed by
     :func:`add_store_arguments` (plus the CLI's own ``--cache-dir``)."""
-    if root is None:
-        root = getattr(args, "cache_dir", None)
-    mem_mb = getattr(args, "store_mem_mb", None)
-    if mem_mb is None:
-        return make_store(getattr(args, "store", None), root=root)
-    if mem_mb < 0:
-        raise ValueError(f"--store-mem-mb must be >= 0, got {mem_mb}")
-    return make_store(getattr(args, "store", None), root=root,
-                      max_bytes=int(mem_mb) * 1024 * 1024)
+    return make_store(getattr(args, "store", None),
+                      root=getattr(args, "cache_dir", None))
 
 
 def describe_store(store: Optional[ResultStore]) -> str:
@@ -614,119 +596,3 @@ def describe_store(store: Optional[ResultStore]) -> str:
                 f"{store.memory.max_bytes} bytes)")
     root = getattr(store, "root", None)
     return f"{store.name} ({root})" if root is not None else store.name
-
-
-# ----------------------------------------------------------------------
-# Single-flight coalescing.
-# ----------------------------------------------------------------------
-class Flight:
-    """One in-progress evaluation other waiters can subscribe to."""
-
-    __slots__ = ("key", "_event", "_outcome")
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self._event = threading.Event()
-        self._outcome: Optional[Tuple[str, Any]] = None
-
-    def resolve(self, outcome: Tuple[str, Any]) -> None:
-        self._outcome = outcome
-        self._event.set()
-
-    def wait(self, timeout: Optional[float] = None
-             ) -> Optional[Tuple[str, Any]]:
-        """Block for the outcome: ``("ok", value)``, ``("error", exc)``,
-        or ``None`` if ``timeout`` elapsed first."""
-        if not self._event.wait(timeout):
-            return None
-        return self._outcome
-
-
-class SingleFlight:
-    """Coalesce concurrent identical evaluations onto one leader.
-
-    ``acquire(key)`` is non-blocking: the first caller for a key
-    becomes the *leader* (and must eventually :meth:`publish` or
-    :meth:`publish_error` — the answered-or-rejected contract) and
-    everyone else a *follower* holding the same :class:`Flight` to
-    :meth:`Flight.wait` on.  :meth:`do` packages the whole protocol for
-    callers that evaluate one spec at a time; the batch executor uses
-    the primitives directly so leaders still dispatch as one batch.
-
-    A published flight is removed from the table *before* its waiters
-    wake, so a request arriving after publication starts a fresh
-    evaluation — single-flight dedupes concurrency, it is not a cache.
-
-    The ``store.singleflight.leader_crash`` fault site fires inside
-    :meth:`publish`: the flight resolves with the injected failure (all
-    followers answered) and the leader sees the raise — modelling a
-    leader that died after evaluating but before handing over.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._flights: Dict[str, Flight] = {}
-        self.leads = 0
-        self.followers = 0
-
-    def acquire(self, key: str) -> Tuple[bool, Flight]:
-        """Join the flight for ``key``; returns ``(is_leader, flight)``."""
-        with self._lock:
-            flight = self._flights.get(key)
-            if flight is None:
-                flight = Flight(key)
-                self._flights[key] = flight
-                self.leads += 1
-                return True, flight
-            self.followers += 1
-            return False, flight
-
-    def _resolve(self, flight: Flight, outcome: Tuple[str, Any]) -> None:
-        with self._lock:
-            if self._flights.get(flight.key) is flight:
-                del self._flights[flight.key]
-        flight.resolve(outcome)
-
-    def publish(self, flight: Flight, value: Any) -> None:
-        """Leader hand-off: fan ``value`` out to every follower.
-
-        If the leader-crash fault fires here the flight resolves with
-        the injected failure instead (followers are answered with the
-        error) and the exception propagates to the leader.
-        """
-        if _faults.ACTIVE is not None:
-            try:
-                _faults.fire("store.singleflight.leader_crash",
-                             key=flight.key[:12])
-            except BaseException as exc:
-                self._resolve(flight, ("error", exc))
-                raise
-        self._resolve(flight, ("ok", value))
-
-    def publish_error(self, flight: Flight, exc: BaseException) -> None:
-        """Leader hand-off for a failed evaluation."""
-        self._resolve(flight, ("error", exc))
-
-    def do(self, key: str, fn: Any) -> Any:
-        """Evaluate ``fn()`` once per concurrent ``key``; all callers
-        get the leader's value (or raise the leader's exception)."""
-        leader, flight = self.acquire(key)
-        if not leader:
-            outcome = flight.wait()
-            assert outcome is not None  # no timeout: leaders always publish
-            status, value = outcome
-            if status == "error":
-                raise value
-            return value
-        try:
-            value = fn()
-        except BaseException as exc:
-            self.publish_error(flight, exc)
-            raise
-        self.publish(flight, value)
-        return value
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"leads": self.leads, "followers": self.followers,
-                    "in_flight": len(self._flights)}

@@ -115,12 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         kwargs = FAST_OVERRIDES.get(experiment_id, {}) if args.fast else {}
         job_specs.append(ExperimentJob.create(experiment_id, **kwargs))
 
-    cache = None
-    if args.cache:
-        try:
-            cache = store_from_args(args)
-        except ValueError as exc:
-            raise SystemExit(f"repro-experiments: {exc}")
+    cache = store_from_args(args) if args.cache else None
     start = time.perf_counter()
     with BatchExecutor(jobs=args.jobs, cache=cache) as executor:
         batch = executor.run(job_specs)

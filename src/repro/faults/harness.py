@@ -13,8 +13,9 @@ the stack's cross-cutting invariants:
   ``job.run()`` ground truth (computed with the plan suspended on the
   harness thread), so injected faults never corrupt a served answer;
 * **cache integrity** — every record in the store parses and carries a
-  ``result``; orphaned ``.tmp`` files are exactly the injected
-  ``cache.put.stale_tmp`` events, never more;
+  ``result``; orphaned ``.tmp`` files are exactly the
+  ``cache.put.stale_tmp`` events injected into that store, never more;
+  a tiered store's memory tier stays within its byte budget;
 * **isolation** — a plan with no rules produces zero failures (the
   plane itself is inert), and lane-scoped faults fail lanes, not runs;
 * **metrics reconcile** — ``requests_total`` equals the sum of recorded
@@ -35,7 +36,7 @@ import random
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from . import hooks
 from .plan import FAULT_POINTS, FaultPlan, FaultRule
@@ -51,6 +52,11 @@ OPTIMIZE_FAULT_SITES = frozenset({
     "serve.optimize.lane_error", "optimize.warm_start",
     "kernels.threshold_delay.nan_lane"})
 
+#: Sites that fail a store write.  The executor swallows the
+#: ``OSError``, so the lane is still ok but its record is never stored.
+PUT_FAULT_SITES = frozenset({"cache.put.os_error",
+                             "store.disk.shard_unwritable"})
+
 #: Sites exercised through the engine's BatchExecutor rather than the
 #: serve stack.
 ENGINE_SITES = frozenset(
@@ -64,8 +70,9 @@ BACKEND_SITES = frozenset(
     name for name, point in FAULT_POINTS.items()
     if point.scenario == "backend")
 
-#: Sites of the result-store plane (tiered store + single-flight),
-#: driven through the dedicated store driver.
+#: Sites of the result-store plane (memory tier + disk shards), driven
+#: through the engine driver, whose executor writes through a
+#: tiny-budget tiered store.
 STORE_SITES = frozenset(
     name for name, point in FAULT_POINTS.items()
     if point.scenario == "store")
@@ -234,6 +241,7 @@ def _drive_serve(plan: FaultPlan, report: RunReport,
     optimize_faulted = any(rule.site in OPTIMIZE_FAULT_SITES
                            for rule in plan.rules)
     plan_inert = not plan.rules
+    first_event = len(plan.events)
 
     cache = DiskStore(cache_root)
     service = ReproService(cache=cache, max_batch_size=8,
@@ -347,12 +355,15 @@ def _drive_serve(plan: FaultPlan, report: RunReport,
                 client.close()
 
     # -- post-run invariants ------------------------------------------
-    _check_cache_integrity(plan, report, cache)
+    _check_cache_integrity(plan, report, cache, first_event)
     _check_metrics(report, service)
 
 
 def _check_cache_integrity(plan: FaultPlan, report: RunReport,
-                           cache: Any) -> None:
+                           cache: Any, first_event: int) -> None:
+    """Every record parses, and the orphaned ``.tmp`` files are exactly
+    the ``cache.put.stale_tmp`` events fired since ``first_event`` —
+    the driver's own, since each driver writes its own store."""
     for path in cache._record_paths():
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -361,7 +372,8 @@ def _check_cache_integrity(plan: FaultPlan, report: RunReport,
         except (OSError, ValueError, KeyError) as exc:
             report.violation(
                 "cache", f"torn or incomplete record {path.name}: {exc}")
-    stale = plan.fired_sites().get("cache.put.stale_tmp", 0)
+    stale = sum(1 for event in plan.events[first_event:]
+                if event.site == "cache.put.stale_tmp")
     tmp_count = len(cache.tmp_files())
     if tmp_count != stale:
         report.violation(
@@ -387,9 +399,18 @@ def _check_metrics(report: RunReport, service: Any) -> None:
 # ----------------------------------------------------------------------
 def _drive_engine(plan: FaultPlan, report: RunReport,
                   cache_root: Path) -> None:
-    """Drive the batch executor through the workload under ``plan``."""
+    """Drive the batch executor through the workload under ``plan``.
+
+    The executor writes through a :class:`TieredStore` whose memory
+    tier holds ~2.5 delay records, so its puts reach shard creation
+    (``store.disk.shard_unwritable``, first put) and byte-budget
+    eviction (``store.memory.evict_race``).  Beyond the lane checks,
+    the memory tier must stay within its budget and every ok lane's
+    stored record, read back with the plan suspended, must equal solo
+    ``job.run()``.
+    """
     from ..engine.executor import BatchExecutor
-    from ..engine.store import DiskStore
+    from ..engine.store import DiskStore, MemoryStore, TieredStore
 
     workload = _workload_jobs()
     jobs = (workload["delay"] + workload["critical_inductance"]
@@ -403,9 +424,13 @@ def _drive_engine(plan: FaultPlan, report: RunReport,
     truths = _ground_truths(plan, workload)
     optimize_faulted = any(rule.site in OPTIMIZE_FAULT_SITES
                            for rule in plan.rules)
+    puts_faulted = any(rule.site in PUT_FAULT_SITES for rule in plan.rules)
     plan_inert = not plan.rules
+    first_event = len(plan.events)
 
-    cache = DiskStore(cache_root)
+    budget = int(2.5 * len(truths["delay"][0].encode("utf-8")))
+    cache = TieredStore(memory=MemoryStore(budget),
+                        disk=DiskStore(cache_root))
     executor = BatchExecutor(jobs=1, cache=cache)
     with hooks.active(plan):
         try:
@@ -434,6 +459,8 @@ def _drive_engine(plan: FaultPlan, report: RunReport,
         return
     for outcome, job, kind, index in zip(batch.outcomes, jobs, kinds,
                                          indices):
+        with plan.suspended():
+            stored = cache.get(job)
         if outcome.ok:
             report.responses_ok += 1
             if kind == "optimize" and optimize_faulted:
@@ -444,6 +471,19 @@ def _drive_engine(plan: FaultPlan, report: RunReport,
                     "bitwise",
                     f"executor {kind}[{index}] differs from solo "
                     f"job.run(): {produced} != {truths[kind][index]}")
+            if stored is None:
+                # A failed write loses only the replay; with no write
+                # fault armed every ok lane's put lands.
+                if not puts_faulted:
+                    report.violation(
+                        "cache", f"executor {kind}[{index}] is ok but "
+                                 f"was never stored, with no store-write "
+                                 f"fault armed")
+            elif _normalized(stored) != truths[kind][index]:
+                report.violation(
+                    "bitwise",
+                    f"executor {kind}[{index}] stored record differs "
+                    f"from solo job.run()")
         else:
             report.responses_error += 1
             if not (outcome.error and outcome.error_type):
@@ -456,14 +496,18 @@ def _drive_engine(plan: FaultPlan, report: RunReport,
                     "isolation",
                     f"executor {kind}[{index}] failed with no fault "
                     f"armed: {outcome.error}")
-            with plan.suspended():
-                if cache.get(job) is not None:
-                    report.violation(
-                        "cache", f"failed {kind}[{index}] job has a "
-                                 f"cached result (errors must never be "
-                                 f"cached)")
+            if stored is not None:
+                report.violation(
+                    "cache", f"failed {kind}[{index}] job has a cached "
+                             f"result (errors must never be cached)")
 
-    _check_cache_integrity(plan, report, cache)
+    memory = cache.memory.stats()
+    if memory.total_bytes > cache.memory.max_bytes:
+        report.violation(
+            "cache",
+            f"memory tier holds {memory.total_bytes} bytes over its "
+            f"{cache.memory.max_bytes}-byte budget")
+    _check_cache_integrity(plan, report, cache, first_event)
 
 
 # ----------------------------------------------------------------------
@@ -610,191 +654,23 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
 
 
 # ----------------------------------------------------------------------
-# The store driver (tiered result store + single-flight coalescing).
-# ----------------------------------------------------------------------
-def _drive_store(plan: FaultPlan, report: RunReport,
-                 cache_root: Path) -> None:
-    """Drive the result-store plane under ``plan``.
-
-    Phase A (deterministic, single-threaded): every delay job is
-    evaluated through :meth:`SingleFlight.do`, behind the non-finite
-    screen every entry point applies, and written through a
-    :class:`TieredStore` whose memory tier holds ~2.5 records, so the
-    put sequence reaches eviction (``store.memory.evict_race``) and
-    shard creation (``store.disk.shard_unwritable``); each ``do``
-    publishes exactly once, in job order, so nth-mode rules fire at the
-    same global hit in every replay.  A re-read pass then proves every
-    record that was stored still replays bitwise equal to solo
-    ``job.run()``.
-
-    Phase B (concurrent): the harness thread takes leadership of one
-    flight, 16 follower threads subscribe (a semaphore counts them in
-    before the hand-off), and the leader publishes — the phase's single
-    publish, so a ``leader_crash`` preset of ``nth=7`` lands exactly
-    here, after Phase A's six.  Every follower must come back answered
-    or rejected: a follower that times out, or one that was wrongly
-    promoted to leader (a duplicate evaluation), is a violation.
-    """
-    import threading
-
-    from ..engine.jobs import screen_nonfinite
-    from ..engine.store import DiskStore, MemoryStore, SingleFlight, \
-        TieredStore
-
-    workload = _workload_jobs()
-    jobs = workload["delay"]
-    plan_inert = not plan.rules
-    with plan.suspended():
-        truths = [_normalized(job.run()) for job in jobs]
-
-    # ~2.5 records of budget: the fourth put must evict, so the
-    # eviction seam is reachable from a six-job phase.
-    budget = int(2.5 * len(truths[0].encode("utf-8")))
-    store = TieredStore(memory=MemoryStore(budget),
-                        disk=DiskStore(cache_root))
-    flights = SingleFlight()
-
-    with hooks.active(plan):
-        # -- phase A: sequential single-flight + write-through ---------
-        stored: List[int] = []
-        for index, job in enumerate(jobs):
-            report.requests_sent += 1
-            try:
-                result = flights.do(
-                    store.key(job), lambda: screen_nonfinite(job.run()))
-            except Exception as exc:
-                report.responses_error += 1
-                if plan_inert:
-                    report.violation(
-                        "isolation",
-                        f"store delay[{index}] failed with no fault "
-                        f"armed: {exc}")
-                continue
-            report.responses_ok += 1
-            if _normalized(result) != truths[index]:
-                report.violation(
-                    "bitwise",
-                    f"store delay[{index}] single-flight result differs "
-                    f"from solo job.run()")
-                continue
-            try:
-                store.put(job, result)
-                stored.append(index)
-            except OSError:
-                # Store consumers swallow put failures: the result was
-                # still served, only the replay is lost.
-                pass
-        for index in stored:
-            replayed = store.get(jobs[index])
-            if replayed is None:
-                if plan_inert:
-                    report.violation(
-                        "cache",
-                        f"store delay[{index}] record vanished after a "
-                        f"successful put with no fault armed")
-                continue
-            if _normalized(replayed) != truths[index]:
-                report.violation(
-                    "bitwise",
-                    f"store delay[{index}] replayed record differs from "
-                    f"solo job.run()")
-
-        # -- phase B: one leader, 16 counted-in followers --------------
-        job_b, truth_b = jobs[0], truths[0]
-        key_b = store.key(job_b)
-        leader, flight = flights.acquire(key_b)
-        if not leader:
-            report.violation(
-                "answered",
-                "store flight table leaked a resolved flight — a new "
-                "acquire after publication must lead")
-            return
-        outcomes: List[Tuple[bool, Any]] = []
-        outcomes_lock = threading.Lock()
-        subscribed = threading.Semaphore(0)
-
-        def follow() -> None:
-            is_leader, joined = flights.acquire(key_b)
-            subscribed.release()
-            got = None if is_leader else joined.wait(timeout=10.0)
-            with outcomes_lock:
-                outcomes.append((is_leader, got))
-
-        threads = [threading.Thread(target=follow) for _ in range(16)]
-        for thread in threads:
-            thread.start()
-        for _ in threads:
-            subscribed.acquire()
-        report.requests_sent += len(threads)
-        with plan.suspended():
-            value_b = job_b.run()
-        try:
-            flights.publish(flight, value_b)
-        except RuntimeError:
-            pass  # the flight already resolved with the injected failure
-        for thread in threads:
-            thread.join()
-
-        for is_leader, got in outcomes:
-            if is_leader:
-                report.violation(
-                    "answered",
-                    "a follower was promoted to leader mid-flight — "
-                    "the same spec would evaluate twice")
-                continue
-            if got is None:
-                report.responses_error += 1
-                report.violation(
-                    "answered",
-                    "single-flight follower timed out — never answered "
-                    "after the leader published or crashed")
-                continue
-            status, payload = got
-            if status == "ok":
-                report.responses_ok += 1
-                if _normalized(payload) != truth_b:
-                    report.violation(
-                        "bitwise",
-                        "single-flight follower received a result "
-                        "differing from solo job.run()")
-            else:
-                report.responses_error += 1
-                if plan_inert:
-                    report.violation(
-                        "isolation",
-                        f"single-flight follower rejected with no fault "
-                        f"armed: {payload}")
-
-    # -- post-run invariants ------------------------------------------
-    memory_stats = store.memory.stats()
-    if memory_stats.total_bytes > store.memory.max_bytes:
-        report.violation(
-            "cache",
-            f"memory tier holds {memory_stats.total_bytes} bytes over "
-            f"its {store.memory.max_bytes}-byte budget")
-    _check_cache_integrity(plan, report, store)
-
-
-# ----------------------------------------------------------------------
 # Drivers' front door.
 # ----------------------------------------------------------------------
 def run_plan(plan: FaultPlan, *,
              cache_root: Optional[Path] = None) -> RunReport:
     """Drive ``plan`` through the live workloads and check invariants.
 
-    Rules naming engine sites route through the
-    :class:`~repro.engine.executor.BatchExecutor` driver, rules naming
-    backend sites through the dual-seam backend driver, and rules
-    naming store sites through the tiered-store/single-flight driver;
-    everything else (including an empty plan) routes through the
-    socket-level serve driver.  A plan mixing scenarios runs every
-    driver it names.
+    Rules naming engine or store sites route through the
+    :class:`~repro.engine.executor.BatchExecutor` driver (its executor
+    writes through a tiered store), rules naming backend sites through
+    the dual-seam backend driver; everything else (including an empty
+    plan) routes through the socket-level serve driver.  A plan mixing
+    scenarios runs every driver it names.
     """
     report = RunReport(plan_string=plan.to_string())
     sites = {rule.site for rule in plan.rules}
-    engine = bool(sites & ENGINE_SITES)
+    engine = bool(sites & (ENGINE_SITES | STORE_SITES))
     backend = bool(sites & BACKEND_SITES)
-    store = bool(sites & STORE_SITES)
     serve = bool(sites - ENGINE_SITES - BACKEND_SITES - STORE_SITES) \
         or not sites
 
@@ -804,8 +680,6 @@ def run_plan(plan: FaultPlan, *,
             _drive_engine(plan, report, root / "engine")
         if backend:
             _drive_backend(plan, report)
-        if store:
-            _drive_store(plan, report, root / "store")
         if serve:
             _drive_serve(plan, report, root / "serve")
 
@@ -852,14 +726,10 @@ SITE_RULES: Dict[str, Dict[str, Any]] = {
     "backend.worker.crash": {"mode": "first", "n": 3},
     "backend.worker.hang": {"mode": "nth", "n": 1, "delay": 0.01},
     "backend.dispatch.queue_full": {"mode": "nth", "n": 1},
-    # The store driver's Phase A evicts from its fourth put on and
-    # creates the first shard on its first put.
+    # The engine driver's tiny memory tier evicts within its first few
+    # write-through puts, and its first put creates the first shard.
     "store.memory.evict_race": {"mode": "nth", "n": 1},
     "store.disk.shard_unwritable": {"mode": "nth", "n": 1},
-    # Phase A publishes exactly six times (one per delay job), so the
-    # seventh publish is Phase B's concurrent hand-off: the leader dies
-    # in front of 16 live followers, who must all still be answered.
-    "store.singleflight.leader_crash": {"mode": "nth", "n": 7},
 }
 
 

@@ -127,10 +127,6 @@ FAULT_POINTS: Dict[str, FaultPoint] = {point.name: point for point in [
                "a racing evictor removes an extra entry during a "
                "memory-tier byte-budget eviction",
                "store", "side_effect"),
-    FaultPoint("store.singleflight.leader_crash",
-               "a single-flight leader dies after evaluating but before "
-               "publishing; followers must still be answered",
-               "store", "raise"),
     FaultPoint("store.disk.shard_unwritable",
                "a disk-store shard directory cannot be created or "
                "written (permissions, read-only mount)",
@@ -170,7 +166,6 @@ _DEFAULT_EXCEPTIONS = {
     "server.read.drop": "ConnectionError",
     "backend.worker.crash": "BrokenProcessPool",
     "backend.dispatch.queue_full": "RuntimeError",
-    "store.singleflight.leader_crash": "RuntimeError",
     "store.disk.shard_unwritable": "OSError",
 }
 

@@ -102,14 +102,7 @@ def _serve(args: argparse.Namespace) -> int:
         print("repro-serve: --backend-workers must be >= 1",
               file=sys.stderr)
         return 2
-    if args.no_cache:
-        cache = None
-    else:
-        try:
-            cache = store_from_args(args)
-        except ValueError as exc:
-            print(f"repro-serve: {exc}", file=sys.stderr)
-            return 2
+    cache = None if args.no_cache else store_from_args(args)
     service = ReproService(
         cache=cache, max_batch_size=args.max_batch_size,
         max_linger=args.linger_ms / 1000.0,

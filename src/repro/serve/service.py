@@ -52,8 +52,8 @@ class ReproService:
     Parameters
     ----------
     cache:
-        Optional :class:`~repro.engine.store.ResultStore` (disk,
-        memory, or tiered — see :func:`repro.engine.store.make_store`).
+        Optional :class:`~repro.engine.store.ResultStore` (disk or
+        tiered — see :func:`repro.engine.store.make_store`).
         Hits are answered without entering a batch; fresh successes are
         written back under the engine's salt/schema versioning, so the
         store is shared coherently with ``repro-batch``.  Every store

@@ -101,12 +101,8 @@ def _setup(args: argparse.Namespace
                 f"known: {', '.join(oracle_names())}")
     else:
         names = oracle_names()
-    cache = None
-    if args.cache_dir or args.store:
-        try:
-            cache = store_from_args(args)
-        except ValueError as exc:
-            raise SystemExit(f"repro-verify: {exc}")
+    cache = (store_from_args(args) if args.cache_dir or args.store
+             else None)
     executor = BatchExecutor(jobs=args.jobs, cache=cache)
     return cases, names, executor
 

@@ -1,8 +1,8 @@
-"""Batch-executor single-flight dedup: duplicate specs compute once.
+"""Batch-executor in-batch dedup: duplicate specs compute once.
 
 A manifest that lists the same configuration N times used to evaluate it
-N times.  With single-flight under the executor, the duplicates collapse
-onto one leader lane per unique spec: the batch still reports N outcomes
+N times.  With dedup in the executor, the duplicates collapse onto one
+leader lane per unique spec: the batch still reports N outcomes
 (each duplicate carries the leader's payload bitwise), the metrics count
 the fan-out, and the report stays bitwise identical to the pre-dedup
 output at every ``--jobs`` value.
@@ -148,30 +148,23 @@ class TestBitwiseAcrossJobs:
                 == canonical_json(job.run())
 
 
-class TestFollowerError:
-    def test_leader_crash_rejects_in_batch_duplicate(self, tmp_path):
-        """A leader that dies before publishing fails its own lane and its
-        in-batch duplicate with one error; other lanes are untouched and
-        nothing of the crashed spec is cached."""
-        job, other = delay_job(0.5), delay_job(1.0)
-        cache = DiskStore(tmp_path)
+class TestFailedDispatch:
+    def test_executor_reruns_after_a_failed_dispatch(self):
+        """A dispatch failure fails the whole run and leaves nothing
+        behind: the same executor's next run evaluates each spec once
+        and fans the duplicate out again."""
+        jobs = [CountingJob("a"), CountingJob("b"), CountingJob("a")]
         plan = FaultPlan(rules=[FaultRule(
-            site="store.singleflight.leader_crash", mode="nth", n=1)])
+            site="backend.worker.crash", mode="nth", n=1)])
+        executor = BatchExecutor(jobs=1)
         with hooks.active(plan):
-            report = BatchExecutor(jobs=1, cache=cache).run(
-                [job, other, job])
-        leader, middle, follower = report.outcomes
-        assert not leader.ok
-        assert leader.error_type == "RuntimeError"
-        assert "store.singleflight.leader_crash" in leader.error
-        assert not follower.ok
-        assert follower.deduped
-        assert follower.error == leader.error
-        assert follower.error_type == "RuntimeError"
-        assert middle.ok
-        assert cache.get(other) == middle.result
-        assert cache.get(job) is None
-        assert cache.stats().entries == 1
+            with pytest.raises(RuntimeError):
+                executor.run(jobs)
+            report = executor.run(jobs)
+        assert _RUNS == {"a": 1, "b": 1}
+        assert all(outcome.ok for outcome in report.outcomes)
+        assert [outcome.deduped for outcome in report.outcomes] \
+            == [False, False, True]
 
 
 class TestRunPayloadShape:

@@ -59,8 +59,8 @@ class TestPlanCommand:
 
 
 #: Mixed plans arming a backend-plane site beside a site that fails
-#: lanes (NaN lane, leader crash) or beside a ``prob`` backend rule that
-#: may fail every run.  Every lane is still answered or rejected, so each
+#: lanes (NaN lane) or beside a ``prob`` backend rule that may fail
+#: every run.  Every lane is still answered or rejected, so each
 #: replay holds every invariant.
 MIXED_BACKEND_PLANS = {
     "nan-lane+queue-full":
@@ -68,11 +68,6 @@ MIXED_BACKEND_PLANS = {
         '"site":"kernels.threshold_delay.nan_lane"},'
         '{"mode":"first","n":3,"site":"backend.dispatch.queue_full"}],'
         '"seed":20260810}',
-    "leader-crash+hang":
-        '{"rules":[{"mode":"nth","n":1,'
-        '"site":"store.singleflight.leader_crash"},'
-        '{"delay":0.01,"mode":"first","n":1,'
-        '"site":"backend.worker.hang"}],"seed":20260813}',
     "prob-queue-full+nan-lane":
         '{"rules":[{"mode":"prob","p":0.7507730258526315,'
         '"site":"backend.dispatch.queue_full"},'
@@ -85,6 +80,21 @@ MIXED_BACKEND_PLANS = {
         '"site":"backend.worker.hang"},'
         '{"mode":"prob","p":0.2562682245175638,'
         '"site":"kernels.threshold_delay.nan_lane"}],"seed":9}',
+}
+
+#: Plans that run two store-writing drivers (engine and serve), with a
+#: ``cache.put.stale_tmp`` event in only one of them.  Each driver must
+#: count only the stale temp files its own store was given.
+STALE_TMP_TWO_DRIVER_PLANS = {
+    "evict-race+stale-tmp":
+        '{"rules":[{"mode":"prob","p":0.689675815472019,'
+        '"site":"store.memory.evict_race"},'
+        '{"mode":"nth","n":1,"site":"cache.put.stale_tmp"}],"seed":12}',
+    "stale-tmp+engine+serve":
+        '{"rules":[{"mode":"first","n":1,"site":"cache.put.stale_tmp"},'
+        '{"mode":"nth","n":2,"site":"serve.optimize.lane_error"},'
+        '{"mode":"first","n":2,"site":"executor.job.error"},'
+        '{"mode":"first","n":1,"site":"server.read.drop"}],"seed":19}',
 }
 
 
@@ -111,6 +121,15 @@ class TestReplayCommand:
                                                       capsys):
         assert main(["replay", plan_string]) == 0
         assert "invariants: all held" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("plan_string",
+                             list(STALE_TMP_TWO_DRIVER_PLANS.values()),
+                             ids=list(STALE_TMP_TWO_DRIVER_PLANS))
+    def test_stale_tmp_is_counted_per_driver(self, plan_string, capsys):
+        assert main(["replay", plan_string]) == 0
+        out = capsys.readouterr().out
+        assert "invariants: all held" in out
+        assert "cache.put.stale_tmp hit=" in out  # the event fired
 
     def test_replay_twice_is_identical(self, capsys):
         """The determinism acceptance: same plan, same event sequence."""
@@ -146,23 +165,11 @@ class TestCampaignPresets:
 
 
 class TestStoreScenario:
-    def test_leader_crash_answers_every_follower(self):
-        """16 followers watch their leader die; all are rejected, none
-        hang — the single-flight answered-or-rejected contract."""
-        report = run_plan(site_plan("store.singleflight.leader_crash"))
-        assert report.ok, report.format_summary()
-        assert report.fired.get("store.singleflight.leader_crash") == 1
-        # Phase A's six solo evaluations succeed; Phase B's sixteen
-        # followers are all answered with the injected failure.
-        assert report.responses_ok == 6
-        assert report.responses_error == 16
-
     def test_store_scenario_holds_invariants(self):
         report = run_plan(scenario_plan("store"))
         assert report.ok, report.format_summary()
         for site in ("store.memory.evict_race",
-                     "store.disk.shard_unwritable",
-                     "store.singleflight.leader_crash"):
+                     "store.disk.shard_unwritable"):
             assert report.fired.get(site), f"{site} never fired"
 
 

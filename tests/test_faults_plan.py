@@ -218,7 +218,7 @@ class TestHooks:
 
 
 def test_registry_sites_have_scenarios_and_descriptions():
-    assert len(FAULT_POINTS) == 20
+    assert len(FAULT_POINTS) == 19
     for name, point in FAULT_POINTS.items():
         assert point.name == name
         assert point.scenario in ("cache", "engine", "serve", "backend",

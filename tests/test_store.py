@@ -1,21 +1,20 @@
-"""Unit tests for the result-store plane: tiers, factory, single-flight.
+"""Unit tests for the result-store plane: tiers, factory, flight key.
 
 The disk store's persistence contract is pinned by
 ``test_engine_cache.py``; this suite covers what the store *plane* adds
 — the byte-budgeted memory tier, the tiered composition, the
-``make_store`` factory, and the ``SingleFlight`` coalescing protocol.
+``make_store`` factory, and the salt-free ``flight_key`` both dedups
+key on.
 """
 
 import json
-import threading
 
 import pytest
 
 from repro import NODE_100NM, units
 from repro.engine.store import (DEFAULT_MEMORY_BUDGET, STORE_NAMES,
-                                DiskStore, MemoryStore, SingleFlight,
-                                TieredStore, describe_store, flight_key,
-                                make_store)
+                                DiskStore, MemoryStore, TieredStore,
+                                describe_store, flight_key, make_store)
 from repro.engine.jobs import DelayJob
 
 NH = units.NH_PER_MM
@@ -154,8 +153,6 @@ class TestMakeStore:
             make_store("redis")
 
     def test_max_bytes_reaches_memory_tier(self, tmp_path):
-        store = make_store("tiered", root=tmp_path, max_bytes=123)
-        assert store.memory.max_bytes == 123
         assert make_store("tiered", root=tmp_path).memory.max_bytes \
             == DEFAULT_MEMORY_BUDGET
 
@@ -165,82 +162,3 @@ class TestMakeStore:
         assert describe_store(MemoryStore()) == "memory"
         assert "tiered" in describe_store(
             make_store("tiered", root=tmp_path))
-
-
-class TestSingleFlight:
-    def test_first_acquire_leads(self):
-        flights = SingleFlight()
-        leader, flight = flights.acquire("k")
-        assert leader
-        follower, same = flights.acquire("k")
-        assert not follower
-        assert same is flight
-
-    def test_publish_fans_out_and_clears_table(self):
-        flights = SingleFlight()
-        _, flight = flights.acquire("k")
-        _, joined = flights.acquire("k")
-        flights.publish(flight, {"x": 1})
-        assert joined.wait(timeout=1.0) == ("ok", {"x": 1})
-        # The flight is gone: a later acquire starts fresh work.
-        leader, _ = flights.acquire("k")
-        assert leader
-
-    def test_publish_error_rejects_followers(self):
-        flights = SingleFlight()
-        _, flight = flights.acquire("k")
-        _, joined = flights.acquire("k")
-        exc = RuntimeError("boom")
-        flights.publish_error(flight, exc)
-        assert joined.wait(timeout=1.0) == ("error", exc)
-
-    def test_do_coalesces_concurrent_callers(self):
-        flights = SingleFlight()
-        calls = []
-        started = threading.Event()
-        release = threading.Event()
-
-        def slow():
-            calls.append(1)
-            started.set()
-            release.wait(timeout=5.0)
-            return {"x": 42}
-
-        results = []
-        leader = threading.Thread(
-            target=lambda: results.append(flights.do("k", slow)))
-        leader.start()
-        started.wait(timeout=5.0)
-        followers = [threading.Thread(
-            target=lambda: results.append(flights.do("k", slow)))
-            for _ in range(4)]
-        for thread in followers:
-            thread.start()
-        while flights.stats()["followers"] < 4:
-            pass  # all four must be registered before the leader lands
-        release.set()
-        for thread in [leader] + followers:
-            thread.join(timeout=10.0)
-        assert len(calls) == 1
-        assert results == [{"x": 42}] * 5
-        assert all(r is results[0] for r in results)
-
-    def test_do_propagates_leader_exception(self):
-        flights = SingleFlight()
-
-        def boom():
-            raise ValueError("nope")
-
-        with pytest.raises(ValueError, match="nope"):
-            flights.do("k", boom)
-        # The failed flight is cleared; the key is retryable.
-        assert flights.do("k", lambda: 7) == 7
-
-    def test_stats_counts(self):
-        flights = SingleFlight()
-        _, flight = flights.acquire("k")
-        flights.acquire("k")
-        stats = flights.stats()
-        assert stats == {"leads": 1, "followers": 1, "in_flight": 1}
-        flights.publish(flight, None)
-        assert flights.stats()["in_flight"] == 0

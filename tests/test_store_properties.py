@@ -3,13 +3,10 @@
 Three properties pin the store contracts under arbitrary operation
 sequences — the memory tier never exceeds its byte budget, a tiered
 store's reads are bitwise identical to a plain disk store's, and
-promotion on hit is idempotent — plus a 16-thread stress test proving
-single-flight performs exactly one evaluation per unique in-flight spec.
+promotion on hit is idempotent.
 """
 
 import tempfile
-import threading
-from collections import Counter
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -17,8 +14,7 @@ from hypothesis import strategies as st
 
 from repro import NODE_100NM, units
 from repro.engine.jobs import DelayJob, canonical_json
-from repro.engine.store import (DiskStore, MemoryStore, SingleFlight,
-                                TieredStore)
+from repro.engine.store import DiskStore, MemoryStore, TieredStore
 
 NH = units.NH_PER_MM
 
@@ -105,50 +101,3 @@ def test_promote_on_hit_is_idempotent(payload):
         again = store.memory.stats()
         assert (again.entries, again.total_bytes) \
             == (promoted.entries, promoted.total_bytes)
-
-
-def test_sixteen_thread_single_flight_one_evaluation_per_spec():
-    """16 threads race onto 4 unique specs; each spec is evaluated
-    exactly once and every caller gets the leader's exact object."""
-    flights = SingleFlight()
-    n_threads, n_keys = 16, 4
-    evaluations = Counter()
-    counter_lock = threading.Lock()
-    release = threading.Event()
-    results = [None] * n_threads
-
-    def evaluate(key):
-        with counter_lock:
-            evaluations[key] += 1
-        # Hold every leader in flight until all 16 threads have joined,
-        # so no flight can resolve before its followers arrive.
-        assert release.wait(timeout=10.0)
-        return {"spec": key}
-
-    def worker(index):
-        key = f"spec-{index % n_keys}"
-        results[index] = flights.do(key, lambda: evaluate(key))
-
-    threads = [threading.Thread(target=worker, args=(index,))
-               for index in range(n_threads)]
-    for thread in threads:
-        thread.start()
-    deadline = threading.Event()
-    while True:
-        stats = flights.stats()
-        if stats["leads"] == n_keys \
-                and stats["followers"] == n_threads - n_keys:
-            break
-        assert not deadline.wait(0.001)
-    release.set()
-    for thread in threads:
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-
-    assert evaluations == {f"spec-{i}": 1 for i in range(n_keys)}
-    by_key = {}
-    for index, result in enumerate(results):
-        key = f"spec-{index % n_keys}"
-        assert result == {"spec": key}
-        # Followers receive the leader's object itself, not a copy.
-        assert by_key.setdefault(key, result) is result
