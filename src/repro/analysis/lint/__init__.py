@@ -6,7 +6,8 @@ a stdlib-``ast`` rule engine that enforces the contracts the runtime
 planes can only check after the fact —
 
 * **RPR001** event-loop purity in ``repro.serve`` (no blocking I/O in
-  async bodies outside the ``Backend.run_io_async`` seam),
+  async bodies; a thunk handed to an executor thread, such as the
+  service's store thread, is exempt),
 * **RPR002** fault-site registry consistency (hooks vs FAULT_POINTS),
 * **RPR004** strict JSON (``allow_nan=False``) on engine/serve payload
   paths,

@@ -216,8 +216,8 @@ def direct_body_walk(func: ast.AST) -> Iterator[ast.AST]:
 
     Descends the body but stops at nested function/lambda definitions:
     code inside a nested ``def``/``lambda`` is deferred work (e.g. a
-    thunk handed to ``Backend.run_io_async``), not something the
-    enclosing frame executes when it runs.
+    thunk ``ReproService`` hands to its store thread), not something
+    the enclosing frame executes when it runs.
     """
     stack = list(ast.iter_child_nodes(func))
     while stack:

@@ -88,10 +88,10 @@ class BlockingCallInAsyncRule(BaseRule):
         "Async bodies in repro/serve/ must never perform blocking I/O "
         "directly: file opens, time.sleep, json.dump to a file handle, "
         "socket operations, or result-store get/put.  Store I/O belongs "
-        "on the backend's auxiliary I/O lane (Backend.run_io_async) or "
-        "an executor thread — code inside a lambda/def handed to those "
-        "seams is exempt because it runs off-loop.  Origin: PR 8 fixed "
-        "a cache hit that opened files and decoded JSON on the event-"
+        "on an executor thread (ReproService runs its store get/put on "
+        "a store thread of its own) — code inside a lambda/def handed "
+        "to such a seam is exempt because it runs off-loop.  Origin: a "
+        "cache hit once opened files and decoded JSON on the event-"
         "loop thread, stalling every in-flight request; this rule makes "
         "that regression class unrepresentable at review time.")
 
@@ -107,8 +107,8 @@ class BlockingCallInAsyncRule(BaseRule):
                     yield self._finding(
                         ctx, node,
                         f"blocking call {blocked} inside "
-                        f"'async def {func.name}'; route it through "
-                        f"Backend.run_io_async or an executor seam")
+                        f"'async def {func.name}'; run it on an "
+                        f"executor thread (a lambda/def handed to it)")
 
     def _classify(self, ctx: ModuleContext,
                   node: ast.Call) -> Optional[str]:

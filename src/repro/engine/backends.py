@@ -14,7 +14,9 @@ Everything *above* the seam — cache lookups, in-batch dedup,
 metrics, submission-order collection — is backend-agnostic, and nothing
 below it touches result payloads, so every backend is bitwise identical
 to ``SerialBackend`` (``tests/test_backends.py`` asserts this for
-successes *and* captured failures).
+successes *and* captured failures).  A backend runs evaluations only:
+serve's store ``get``/``put`` run on a thread the service owns
+(:class:`~repro.serve.service.ReproService`).
 
 Choosing a backend:
 
@@ -40,7 +42,6 @@ its pool for the next dispatch.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 import weakref
@@ -107,7 +108,6 @@ class BackendStats:
         self._lanes = 0
         self._in_flight = 0
         self._worker_restarts = 0
-        self._io_calls = 0
         self._waits: deque = deque(maxlen=DISPATCH_WAIT_WINDOW)
 
     def dispatch_started(self, lanes: int) -> None:
@@ -126,11 +126,6 @@ class BackendStats:
         with self._lock:
             self._worker_restarts += 1
 
-    def record_io(self) -> None:
-        """One store/auxiliary I/O call routed off the event loop."""
-        with self._lock:
-            self._io_calls += 1
-
     @property
     def in_flight(self) -> int:
         with self._lock:
@@ -144,7 +139,6 @@ class BackendStats:
                 "lanes": self._lanes,
                 "in_flight": self._in_flight,
                 "worker_restarts": self._worker_restarts,
-                "io_calls": self._io_calls,
                 "dispatch_wait": latency_percentiles(self._waits),
                 "dispatch_wait_samples": len(self._waits),
             }
@@ -165,9 +159,6 @@ class Backend:
 
     def __init__(self) -> None:
         self.stats = BackendStats()
-        self._io_pool: Optional[ThreadPoolExecutor] = None
-        self._io_lock = threading.Lock()
-        self._io_finalizer: Optional[weakref.finalize] = None
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -179,25 +170,10 @@ class Backend:
 
     def close(self) -> None:
         """Shut workers down; in-flight dispatches complete first."""
-        self._close_io_pool()
+        self._discard_pool(wait=True)
 
     def _discard_pool(self, *, wait: bool) -> None:
         """Drop the worker pool so the next dispatch builds a fresh one."""
-
-    def _close_io_pool(self) -> None:
-        with self._io_lock:
-            pool, self._io_pool = self._io_pool, None
-            if self._io_finalizer is not None:
-                self._io_finalizer.detach()
-                self._io_finalizer = None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=True)
-            # repro: ignore[RPR007] -- best-effort close of the aux I/O
-            # pool: shutdown failure modes depend on interpreter state
-            # and there is no caller that could act on them.
-            except Exception:  # noqa: BLE001 — closing is best-effort
-                pass
 
     def __enter__(self) -> "Backend":
         self.start()
@@ -267,37 +243,6 @@ class Backend:
             f"{self.workers} workers (a worker died mid-batch); re-run "
             f"with jobs=1 to isolate the failing job: {exc}")
 
-    # -- auxiliary I/O ----------------------------------------------------
-    def _io_submit(self, fn: Callable[[], Any]) -> Any:
-        """Place one small blocking call on the auxiliary I/O thread.
-
-        The I/O lane is deliberately *not* the dispatch pool: store
-        reads must not queue behind long evaluations (and the process
-        backend could not ship a closure to a worker anyway).  One
-        thread is enough — the calls are sub-millisecond file
-        reads/writes — and it is created lazily so backends that never
-        serve async callers pay nothing.
-        """
-        with self._io_lock:
-            if self._io_pool is None:
-                self._io_pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-io")
-                self._io_finalizer = weakref.finalize(
-                    self, _shutdown_pool_quietly, self._io_pool)
-            pool = self._io_pool
-        self.stats.record_io()
-        return pool.submit(fn)
-
-    async def run_io_async(self, fn: Callable[[], Any]) -> Any:
-        """Run one blocking store/file call off the event loop.
-
-        The serve layer routes every result-store ``get``/``put``
-        through this seam so a cache hit never does file I/O or JSON
-        decoding on the loop thread.  :class:`SerialBackend` overrides
-        it inline (by design: serial means zero indirection).
-        """
-        return await asyncio.wrap_future(self._io_submit(fn))
-
     # -- observability ---------------------------------------------------
     def stats_payload(self) -> Dict[str, Any]:
         """JSON form of this backend's stats for ``/metrics``.
@@ -322,10 +267,6 @@ class SerialBackend(Backend):
     """
 
     name = "serial"
-
-    async def run_io_async(self, fn: Callable[[], Any]) -> Any:
-        self.stats.record_io()
-        return fn()
 
     def _dispatch(self, fn: Callable[..., Any], *args: Any) -> Future:
         future: Future = Future()
@@ -380,10 +321,6 @@ class _PoolBackend(Backend):
             # batch error that triggered the discard.
             except Exception:  # noqa: BLE001 — closing is best-effort
                 pass
-
-    def close(self) -> None:
-        self._discard_pool(wait=True)
-        self._close_io_pool()
 
 
 def _shutdown_pool_quietly(pool: Any) -> None:

@@ -5,6 +5,7 @@ Usage::
     repro-batch run manifest.json --jobs 4
     repro-batch run manifest.csv --out results.json
     repro-batch run manifest.json --no-cache
+    repro-batch run manifest.json --store tiered
     repro-batch cache stats
     repro-batch cache clear
 
@@ -25,7 +26,7 @@ from typing import List, Optional
 
 from .executor import BatchExecutor, BatchReport
 from .manifest import ManifestError, load_manifest
-from .store import add_store_arguments, store_from_args
+from .store import STORE_NAMES, DiskStore, make_store
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "$REPRO_CACHE_DIR or ./.repro-cache)")
     run_parser.add_argument("--no-cache", action="store_true",
                             help="evaluate everything, ignore the cache")
-    add_store_arguments(run_parser)
+    run_parser.add_argument("--store", choices=STORE_NAMES, default="disk",
+                            help="result store: disk (default) or tiered "
+                                 "(a byte-budgeted memory LRU over disk)")
     run_parser.add_argument("--out", default=None, metavar="FILE",
                             help="write deterministic JSON results here")
 
@@ -54,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_parser.add_argument("action", choices=("stats", "clear"))
     cache_parser.add_argument("--cache-dir", default=None, metavar="DIR",
                               help="result cache directory")
-    add_store_arguments(cache_parser)
     return parser
 
 
@@ -91,7 +93,8 @@ def _run(args: argparse.Namespace) -> int:
         print(f"repro-batch: {exc}", file=sys.stderr)
         return 2
 
-    cache = None if args.no_cache else store_from_args(args)
+    cache = None if args.no_cache else make_store(args.store,
+                                                  root=args.cache_dir)
     with BatchExecutor(jobs=args.jobs, cache=cache) as executor:
         report = executor.run(job_specs)
 
@@ -111,13 +114,9 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _cache(args: argparse.Namespace) -> int:
-    cache = store_from_args(args)
+    cache = DiskStore(args.cache_dir)
     if args.action == "stats":
         print(cache.stats().format_summary())
-        tier_stats = getattr(cache, "tier_stats", None)
-        if tier_stats is not None:
-            for tier, stats in tier_stats().items():
-                print(f"  {tier}: {stats.format_summary()}")
         print(f"cache dir: {cache.root}")
         return 0
     removed = cache.clear()

@@ -1,9 +1,9 @@
 """One result plane: tiered pluggable result stores.
 
 Every layer that replays results — the engine's
-:class:`~repro.engine.executor.BatchExecutor`, the serve layer's
-``ReproService``, ``repro-verify`` and ``repro-experiments`` — funnels
-through one :class:`ResultStore` seam:
+:class:`~repro.engine.executor.BatchExecutor` (behind ``repro-batch``
+and ``repro-experiments --cache``) and the serve layer's
+``ReproService`` — funnels through one :class:`ResultStore` seam:
 
 * :class:`DiskStore` — the content-addressed on-disk store: records
   sharded by the first two key hex digits, written atomically;
@@ -14,9 +14,9 @@ through one :class:`ResultStore` seam:
 * :class:`TieredStore` — memory over disk: write-through puts,
   promote-on-hit, memory hits never open a file.
 
-Stores are selected by name through :func:`make_store`, mirroring
-:func:`repro.engine.backends.make_backend`, so every CLI shares one
-``--store {disk,tiered}`` vocabulary.
+``repro-batch run --store {disk,tiered}`` selects a store by name
+through :func:`make_store`; every other consumer builds a
+:class:`DiskStore`.
 
 :func:`flight_key` is the salt-free spec hash both in-process dedups
 key on: the executor's per-batch dictionary of leader lanes and the
@@ -53,7 +53,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Default cache directory (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Selectable store names, in the order CLIs advertise them.
+#: Selectable store names, in the order ``repro-batch run --store``
+#: advertises them.
 STORE_NAMES = ("disk", "tiered")
 
 #: Default byte budget for the memory tier (64 MiB).
@@ -113,7 +114,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     salt: str = field(default_factory=code_version_salt)
-    medium: str = "on disk"
 
     @property
     def hit_rate(self) -> float:
@@ -123,7 +123,7 @@ class CacheStats:
 
     def format_summary(self) -> str:
         return (f"cache: {self.entries} entries, {self.total_bytes} bytes "
-                f"{self.medium}; session {self.hits} hits / {self.misses} "
+                f"on disk; session {self.hits} hits / {self.misses} "
                 f"misses ({100.0 * self.hit_rate:.1f}% hit rate); salt "
                 f"{self.salt!r}")
 
@@ -132,12 +132,11 @@ class CacheStats:
 # The store protocol.
 # ----------------------------------------------------------------------
 class ResultStore:
-    """Base result store: content-addressed keys, get/put/stats/close.
+    """Base result store: content-addressed keys, get/put/stats/clear.
 
     Subclasses implement :meth:`get`, :meth:`put`, :meth:`stats` and
-    :meth:`clear`; :meth:`close` is idempotent and a closed store may
-    still be read (closing releases resources, it does not invalidate
-    records).  ``hits``/``misses`` are per-instance session counters.
+    :meth:`clear`.  ``hits``/``misses`` are per-instance session
+    counters.
     """
 
     name = "store"
@@ -189,15 +188,6 @@ class ResultStore:
     def clear(self) -> int:
         """Delete every record; returns the number removed."""
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release resources (idempotent; records stay readable)."""
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 class DiskStore(ResultStore):
@@ -443,7 +433,7 @@ class MemoryStore(ResultStore):
             return CacheStats(entries=len(self._entries),
                               total_bytes=self._total_bytes,
                               hits=self.hits, misses=self.misses,
-                              salt=self.salt, medium="in memory")
+                              salt=self.salt)
 
     def clear(self) -> int:
         with self._lock:
@@ -451,9 +441,6 @@ class MemoryStore(ResultStore):
             self._entries.clear()
             self._total_bytes = 0
         return removed
-
-    def close(self) -> None:
-        self.clear()
 
 
 class TieredStore(ResultStore):
@@ -529,70 +516,25 @@ class TieredStore(ResultStore):
                           hits=self.hits, misses=self.misses,
                           salt=self.salt)
 
-    def tier_stats(self) -> Dict[str, CacheStats]:
-        """Per-tier accounting (``repro-batch cache stats``)."""
-        return {"memory": self.memory.stats(), "disk": self.disk.stats()}
-
     def clear(self) -> int:
         self.memory.clear()
         return self.disk.clear()
 
-    def close(self) -> None:
-        self.memory.close()
-        self.disk.close()
-
 
 # ----------------------------------------------------------------------
-# The factory every consumer layer constructs through.
+# The factory ``repro-batch run --store`` selects through.
 # ----------------------------------------------------------------------
-def make_store(store: Any = None, *,
-               root: "os.PathLike[str] | str | None" = None,
-               salt: Optional[str] = None) -> ResultStore:
-    """Resolve a store selection to a live :class:`ResultStore`.
+def make_store(name: Optional[str] = None, *,
+               root: "os.PathLike[str] | str | None" = None) -> ResultStore:
+    """Build the store :data:`STORE_NAMES` names (``None`` is disk).
 
-    ``store`` may be a name from :data:`STORE_NAMES`, ``None`` (disk —
-    today's behaviour), or an existing :class:`ResultStore` instance
-    (returned as-is, so a shared instance can be threaded through
-    layers).  ``root`` selects the disk directory; a tiered store's
-    memory tier gets :data:`DEFAULT_MEMORY_BUDGET`.
+    ``root`` selects the disk directory; a tiered store's memory tier
+    gets :data:`DEFAULT_MEMORY_BUDGET`.
     """
-    if isinstance(store, ResultStore):
-        return store
-    name = "disk" if store is None else str(store).lower()
+    name = "disk" if name is None else str(name).lower()
     if name == "disk":
-        return DiskStore(root, salt=salt)
+        return DiskStore(root)
     if name == "tiered":
-        return TieredStore(root=root, salt=salt)
-    raise ValueError(f"unknown store {store!r}; choose from "
+        return TieredStore(root=root)
+    raise ValueError(f"unknown store {name!r}; choose from "
                      f"{', '.join(STORE_NAMES)}")
-
-
-def add_store_arguments(parser: Any) -> None:
-    """Attach the shared ``--store`` CLI option.
-
-    Every CLI that constructs a store (``repro-batch``, ``repro-serve``,
-    ``repro-verify``, ``repro-experiments``) advertises the same
-    vocabulary and resolves it through :func:`store_from_args`.
-    """
-    parser.add_argument("--store", choices=STORE_NAMES, default=None,
-                        help="result store flavor: disk (default) "
-                             "or tiered (a byte-budgeted memory LRU "
-                             "over disk)")
-
-
-def store_from_args(args: Any) -> ResultStore:
-    """Build the selected store from options parsed by
-    :func:`add_store_arguments` (plus the CLI's own ``--cache-dir``)."""
-    return make_store(getattr(args, "store", None),
-                      root=getattr(args, "cache_dir", None))
-
-
-def describe_store(store: Optional[ResultStore]) -> str:
-    """One-line human description for CLI startup banners."""
-    if store is None:
-        return "off"
-    if isinstance(store, TieredStore):
-        return (f"tiered ({store.root}, memory<= "
-                f"{store.memory.max_bytes} bytes)")
-    root = getattr(store, "root", None)
-    return f"{store.name} ({root})" if root is not None else store.name

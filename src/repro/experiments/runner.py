@@ -28,7 +28,7 @@ import time
 from typing import Iterable
 
 from ..engine.executor import BatchExecutor
-from ..engine.store import add_store_arguments, store_from_args
+from ..engine.store import DiskStore
 from ..engine.jobs import ExperimentJob
 from .base import DESCRIPTIONS, ExperimentResult, all_experiment_ids
 
@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--cache-dir", default=None, metavar="DIR",
                             help="cache directory (with --cache; default: "
                                  "$REPRO_CACHE_DIR or ./.repro-cache)")
-    add_store_arguments(run_parser)
     return parser
 
 
@@ -115,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
         kwargs = FAST_OVERRIDES.get(experiment_id, {}) if args.fast else {}
         job_specs.append(ExperimentJob.create(experiment_id, **kwargs))
 
-    cache = store_from_args(args) if args.cache else None
+    cache = DiskStore(args.cache_dir) if args.cache else None
     start = time.perf_counter()
     with BatchExecutor(jobs=args.jobs, cache=cache) as executor:
         batch = executor.run(job_specs)

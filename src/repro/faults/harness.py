@@ -425,7 +425,6 @@ def _drive_engine(plan: FaultPlan, report: RunReport,
     optimize_faulted = any(rule.site in OPTIMIZE_FAULT_SITES
                            for rule in plan.rules)
     puts_faulted = any(rule.site in PUT_FAULT_SITES for rule in plan.rules)
-    plan_inert = not plan.rules
     first_event = len(plan.events)
 
     budget = int(2.5 * len(truths["delay"][0].encode("utf-8")))
@@ -491,11 +490,6 @@ def _drive_engine(plan: FaultPlan, report: RunReport,
                     "answered",
                     f"executor {kind}[{index}] failed without error "
                     f"context: {outcome!r}")
-            elif plan_inert:
-                report.violation(
-                    "isolation",
-                    f"executor {kind}[{index}] failed with no fault "
-                    f"armed: {outcome.error}")
             if stored is not None:
                 report.violation(
                     "cache", f"failed {kind}[{index}] job has a cached "
@@ -545,7 +539,6 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
 
     workload = _workload_jobs()
     truths = _ground_truths(plan, workload)
-    plan_inert = not plan.rules
     crash_armed = any(rule.site == "backend.worker.crash"
                       for rule in plan.rules)
     backend_name = "process" if crash_armed else "thread"
@@ -628,11 +621,6 @@ def _drive_backend(plan: FaultPlan, report: RunReport) -> None:
     for index, result in enumerate(results):
         if isinstance(result, ServeError):
             report.responses_error += 1
-            if plan_inert:
-                report.violation(
-                    "isolation",
-                    f"serve delay[{index}] rejected with no fault "
-                    f"armed: {result}")
         elif isinstance(result, BaseException):
             report.violation(
                 "answered",

@@ -24,8 +24,7 @@ import sys
 from typing import Any, List, Optional
 
 from ..engine.backends import BACKEND_NAMES
-from ..engine.store import add_store_arguments, describe_store, \
-    store_from_args
+from ..engine.store import DiskStore
 from .client import ServeClient, ServeClientError
 from .server import ReproServer
 from .service import ReproService
@@ -63,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "$REPRO_CACHE_DIR or ./.repro-cache)")
     serve_parser.add_argument("--no-cache", action="store_true",
                               help="serve without the result cache")
-    add_store_arguments(serve_parser)
     serve_parser.add_argument("--backend", choices=BACKEND_NAMES,
                               default="thread",
                               help="execution backend batch evaluations "
@@ -102,7 +100,7 @@ def _serve(args: argparse.Namespace) -> int:
         print("repro-serve: --backend-workers must be >= 1",
               file=sys.stderr)
         return 2
-    cache = None if args.no_cache else store_from_args(args)
+    cache = None if args.no_cache else DiskStore(args.cache_dir)
     service = ReproService(
         cache=cache, max_batch_size=args.max_batch_size,
         max_linger=args.linger_ms / 1000.0,
@@ -124,7 +122,7 @@ def _serve(args: argparse.Namespace) -> int:
               f"(batch<= {args.max_batch_size}, linger "
               f"{args.linger_ms:g}ms, queue<= {args.queue_depth}, "
               f"backend {service.backend.name}x{service.backend.workers}, "
-              f"cache {describe_store(cache)})",
+              f"cache {'off' if cache is None else cache.root})",
               flush=True)
         await stop.wait()
         print("repro-serve: draining ...", flush=True)

@@ -27,7 +27,8 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from typing import Any, Dict, List, Optional, Union
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..engine.backends import Backend, make_backend
 from ..engine.store import ResultStore, flight_key
@@ -52,15 +53,15 @@ class ReproService:
     Parameters
     ----------
     cache:
-        Optional :class:`~repro.engine.store.ResultStore` (disk or
-        tiered — see :func:`repro.engine.store.make_store`).
+        Optional :class:`~repro.engine.store.ResultStore` (``repro-serve``
+        builds a :class:`~repro.engine.store.DiskStore`).
         Hits are answered without entering a batch; fresh successes are
         written back under the engine's salt/schema versioning, so the
         store is shared coherently with ``repro-batch``.  Every store
-        ``get``/``put`` runs through the backend's auxiliary I/O lane
-        (:meth:`~repro.engine.backends.Backend.run_io_async`), so a
-        cache hit never opens files or decodes JSON on the event-loop
-        thread (serial backends are inline by design).
+        ``get``/``put`` runs, one at a time and in submission order, on
+        one ``repro-serve-store`` thread the service owns (built only
+        when there is a store), so a cache hit never opens files or
+        decodes JSON on the event-loop thread, whatever the backend.
     max_batch_size / max_linger / max_queue_depth:
         Batching policy applied to every request class's batcher.
     default_timeout:
@@ -92,6 +93,10 @@ class ReproService:
                  backend: Optional[Union[str, Backend]] = None,
                  backend_workers: Optional[int] = None) -> None:
         self.cache = cache
+        self._store_thread = (
+            ThreadPoolExecutor(max_workers=1,
+                               thread_name_prefix="repro-serve-store")
+            if cache is not None else None)
         self.default_timeout = default_timeout
         self.metrics = metrics if metrics is not None else ServerMetrics()
         self._owns_backend = not isinstance(backend, Backend)
@@ -132,6 +137,10 @@ class ReproService:
     async def _dispatch(self, jobs: List[Any]) -> List[Dict[str, Any]]:
         """One micro-batch through the backend seam, on one worker."""
         return await asyncio.wrap_future(self.backend.submit(jobs))
+
+    async def _store_call(self, fn: Callable[[], Any]) -> Any:
+        """Run one blocking store ``get``/``put`` on the store thread."""
+        return await asyncio.wrap_future(self._store_thread.submit(fn))
 
     # ------------------------------------------------------------------
     # Request paths.
@@ -191,13 +200,12 @@ class ReproService:
                         start: float) -> Dict[str, Any]:
         """Leader path: cache lookup, batched evaluation, write-back.
 
-        All store I/O runs on the backend's auxiliary I/O lane — a
-        cache hit never opens a file or decodes JSON on the event-loop
-        thread.
+        All store I/O runs on the store thread — a cache hit never
+        opens a file or decodes JSON on the event-loop thread.
         """
         use_cache = self.cache is not None and not request.no_cache
         if use_cache:
-            cached = await self.backend.run_io_async(
+            cached = await self._store_call(
                 lambda: self.cache.get(request.job))
             self.metrics.record_cache(kind, hit=cached is not None)
             if cached is not None:
@@ -212,7 +220,7 @@ class ReproService:
                                                   timeout=timeout)
         if use_cache:
             try:
-                await self.backend.run_io_async(
+                await self._store_call(
                     lambda: self.cache.put(request.job, result))
             except OSError:
                 # A store failure (full disk, permissions, an
@@ -279,12 +287,21 @@ class ReproService:
 
         Every request admitted before the call completes normally (its
         waiter gets a result or an explicit error); later submissions
-        raise :class:`ServiceClosedError`.  A service-owned backend is
-        shut down only after every batcher has drained, so in-flight
-        dispatches finish on live workers.  Idempotent.
+        raise :class:`ServiceClosedError`.  The store thread is shut
+        down only after every admitted request has finished, so a
+        write-back whose lane resolved during the drain still lands.  A
+        service-owned backend is shut down only after every batcher has
+        drained, so in-flight dispatches finish on live workers.
+        Idempotent.
         """
         self._closed = True
         await asyncio.gather(*(batcher.close()
                                for batcher in self._batchers.values()))
+        if self._store_thread is not None:
+            # Every request that touches the store is an in-flight
+            # leader; its future resolves after its write-back.
+            if self._inflight:
+                await asyncio.wait(list(self._inflight.values()))
+            self._store_thread.shutdown(wait=True)
         if self._owns_backend:
             self.backend.close()

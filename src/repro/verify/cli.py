@@ -15,11 +15,10 @@ store; exit 1 on any missing or changed fixture.  ``bless`` rewrites the
 fixtures from the current code — do this only after reviewing *why* the
 numbers moved.
 
-Caching is **off by default**: the engine store salts its keys with a
+``repro-verify`` never caches: the engine store salts its keys with a
 digest of the ``repro`` source only, so a warm cache would replay
 observations across numpy/scipy upgrades — exactly the drift this tool
-exists to catch.  Pass ``--cache-dir`` or ``--store`` to opt in for
-repeated sweeps in an unchanging environment.
+exists to catch.  Every run evaluates the whole matrix afresh.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import sys
 from typing import List, Optional, Tuple
 
 from ..engine.executor import BatchExecutor
-from ..engine.store import add_store_arguments, store_from_args
 from .cases import VerifyCase, default_case_matrix, load_case_matrix
 from .differential import evaluate_matrix, run_differential
 from .golden import GoldenStore
@@ -54,10 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                               f"(default: all of {','.join(oracle_names())})")
         sub.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker processes (1 = serial in-process)")
-        sub.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="opt-in engine result cache (off by default "
-                              "so stale results cannot mask regressions)")
-        add_store_arguments(sub)
 
     run_parser = subparsers.add_parser(
         "run", help="differential sweep against the tolerance ledger")
@@ -101,10 +95,7 @@ def _setup(args: argparse.Namespace
                 f"known: {', '.join(oracle_names())}")
     else:
         names = oracle_names()
-    cache = (store_from_args(args) if args.cache_dir or args.store
-             else None)
-    executor = BatchExecutor(jobs=args.jobs, cache=cache)
-    return cases, names, executor
+    return cases, names, BatchExecutor(jobs=args.jobs)
 
 
 def _observation_pairs(cases: List[VerifyCase], names: List[str],

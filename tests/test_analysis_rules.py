@@ -48,14 +48,14 @@ _ASYNC_BLOCKING = """\
 """
 
 _ASYNC_DEFERRED = """\
-    async def handler(backend, key):
-        value = await backend.run_io_async(lambda: open(key).read())
+    async def handler(service, key):
+        value = await service._store_call(lambda: open(key).read())
 
         def _write(handle, payload):
             import json
             json.dump(payload, handle)
 
-        await backend.run_io_async(lambda: _write(None, value))
+        await service._store_call(lambda: _write(None, value))
         return value
 """
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.engine.cli import main
+from repro.experiments.runner import main as experiments_main
+from repro.serve.cli import main as serve_main
 
 
 @pytest.fixture()
@@ -145,3 +147,42 @@ class TestCacheCommands:
         assert "removed 3 cached results" in capsys.readouterr().out
         main(["cache", "stats", "--cache-dir", str(cache_dir)])
         assert "0 entries" in capsys.readouterr().out
+
+
+class TestStoreOption:
+    def test_tiered_cold_then_warm_pass_replays_identically(
+            self, tmp_path, cache_dir, capsys):
+        """``--store tiered`` the way a repeated batch pass uses it: a
+        cold pass deduplicates the repeated row, a warm pass (a fresh
+        memory tier over the same disk) hits every row, and both write
+        the same ``--out`` bytes."""
+        path = tmp_path / "m.json"
+        rows = [{"kind": "optimize", "node": "100nm", "l_nh_per_mm": l}
+                for l in (0.0, 0.5, 1.0, 0.5)]
+        path.write_text(json.dumps(rows))
+        outs, footers = [], []
+        for name in ("cold.json", "warm.json"):
+            out = tmp_path / name
+            assert main(["run", str(path), "--store", "tiered",
+                         "--cache-dir", str(cache_dir),
+                         "--out", str(out)]) == 0
+            footers.append(capsys.readouterr().out)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert "cache: 0 hits / 4 misses" in footers[0]
+        assert "1 deduplicated" in footers[0]
+        assert "cache: 4 hits / 0 misses (100.0% hit rate)" in footers[1]
+        assert "deduplicated" not in footers[1]
+
+    @pytest.mark.parametrize("cli, argv", [
+        (serve_main, ["serve", "--store", "tiered"]),
+        (experiments_main, ["run", "fig2", "--store", "disk"]),
+        (main, ["cache", "stats", "--store", "tiered"]),
+    ], ids=["serve", "experiments", "batch-cache"])
+    def test_store_is_only_a_batch_run_option(self, cli, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --store" in err

@@ -1,12 +1,13 @@
-"""Serve-layer store contracts: off-loop I/O and single-flight coalescing.
+"""Serve-layer store contracts: off-loop store I/O and coalescing.
 
 Two regressions are pinned here.  First, a cache hit must never do file
 I/O (open/read/``json.loads``) on the asyncio event-loop thread — every
-store call runs through the backend's auxiliary I/O lane.  Second,
-concurrent identical requests collapse onto one evaluation: 64 copies of
-the same spec produce exactly one evaluator call and 64 bitwise-identical
-responses, and a leader's failure propagates to every follower instead of
-leaving them hanging.
+store call runs, in submission order, on the service's one store thread,
+whatever the backend, and a write-back still lands when its lane
+resolves during ``close()``.  Second, concurrent identical requests
+collapse onto one evaluation: 64 copies of the same spec produce exactly
+one evaluator call and 64 bitwise-identical responses, and a leader's
+failure propagates to every follower instead of leaving them hanging.
 """
 
 import asyncio
@@ -58,9 +59,11 @@ class ProbeStore(MemoryStore):
         super().__init__()
         self.get_threads = []
         self.put_threads = []
+        self.get_jobs = []
 
     def get(self, job):
         self.get_threads.append(threading.get_ident())
+        self.get_jobs.append(job)
         return super().get(job)
 
     def put(self, job, result):
@@ -89,7 +92,6 @@ class TestOffLoopStoreIO:
         assert response["cache"] == "hit"
         assert store.get_threads, "the store was never consulted"
         assert loop_thread["ident"] not in store.get_threads
-        assert service.backend.stats_payload()["io_calls"] >= 1
 
     def test_cache_put_runs_off_the_loop_thread_too(self):
         job = delay_job()
@@ -109,13 +111,15 @@ class TestOffLoopStoreIO:
         assert store.put_threads
         assert loop_thread["ident"] not in store.put_threads
 
-    def test_serial_backend_stays_inline_by_design(self):
+    def test_serial_backend_reads_off_the_loop_thread_too(self):
         job = delay_job()
         store = ProbeStore()
         MemoryStore.put(store, job, job.run())
         service = ReproService(cache=store, backend="serial")
+        loop_thread = {}
 
         async def run():
+            loop_thread["ident"] = threading.get_ident()
             try:
                 return await service.submit(ServeRequest(job=job))
             finally:
@@ -123,7 +127,59 @@ class TestOffLoopStoreIO:
 
         response = asyncio.run(run())
         assert response["cache"] == "hit"
-        assert service.backend.stats_payload()["io_calls"] >= 1
+        assert store.get_threads
+        assert loop_thread["ident"] not in store.get_threads
+
+    def test_store_calls_run_one_at_a_time_in_submission_order(self):
+        """One store thread, FIFO: the fault plane arms ``cache.get.*``
+        sites by invocation count, so the order must not vary."""
+        jobs = [delay_job(l_nh) for l_nh in (0.5, 1.0, 1.5, 2.0, 2.5)]
+        store = ProbeStore()
+        for job in jobs:
+            MemoryStore.put(store, job, job.run())
+        service = ReproService(cache=store)
+
+        async def run():
+            try:
+                return await asyncio.gather(
+                    *(service.submit(ServeRequest(job=job))
+                      for job in jobs))
+            finally:
+                await service.close()
+
+        responses = asyncio.run(run())
+        assert [response["cache"] for response in responses] \
+            == ["hit"] * len(jobs)
+        assert store.get_jobs == jobs
+        assert len(set(store.get_threads)) == 1
+
+    def test_write_back_lands_when_the_lane_resolves_during_close(self):
+        job = delay_job()
+        store = ProbeStore()
+        started, release = threading.Event(), threading.Event()
+
+        def gated(jobs):
+            started.set()
+            release.wait(timeout=10.0)
+            return [{"ok": True, "result": {"tau": 3.0}} for _ in jobs]
+
+        service = ReproService(cache=store, max_linger=0.0,
+                               backend=ScriptedBackend(gated))
+
+        async def run():
+            task = asyncio.ensure_future(
+                service.submit(ServeRequest(job=job)))
+            while not started.is_set():     # the lane is dispatched
+                await asyncio.sleep(0.005)
+            asyncio.get_running_loop().call_later(0.05, release.set)
+            await service.close()           # resolves the lane
+            return await task
+
+        response = asyncio.run(run())
+        assert response["cache"] == "miss"
+        assert response["result"] == {"tau": 3.0}
+        assert store.put_threads
+        assert MemoryStore.get(store, job) == {"tau": 3.0}
 
 
 class TestSingleFlightCoalescing:

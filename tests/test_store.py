@@ -14,7 +14,7 @@ import pytest
 from repro import NODE_100NM, units
 from repro.engine.store import (DEFAULT_MEMORY_BUDGET, STORE_NAMES,
                                 DiskStore, MemoryStore, TieredStore,
-                                describe_store, flight_key, make_store)
+                                flight_key, make_store)
 from repro.engine.jobs import DelayJob
 
 NH = units.NH_PER_MM
@@ -82,17 +82,6 @@ class TestMemoryStore:
         with pytest.raises(ValueError, match="memory budget"):
             MemoryStore(max_bytes=-1)
 
-    def test_stats_report_medium(self, job):
-        store = MemoryStore()
-        store.put(job, {"tau": 1.0})
-        assert "in memory" in store.stats().format_summary()
-
-    def test_close_clears(self, job):
-        store = MemoryStore()
-        store.put(job, {"tau": 1.0})
-        store.close()
-        assert store.stats().entries == 0
-
 
 class TestTieredStore:
     def test_put_writes_through_both_tiers(self, tmp_path, job):
@@ -122,14 +111,14 @@ class TestTieredStore:
         tiered.put(job, payload)
         assert tiered.get(job) == plain.get(job)
 
-    def test_tier_stats_and_clear(self, tmp_path, job):
+    def test_clear_empties_both_tiers(self, tmp_path, job):
         store = TieredStore(root=tmp_path)
         store.put(job, {"tau": 1.0})
-        tiers = store.tier_stats()
-        assert tiers["memory"].entries == 1
-        assert tiers["disk"].entries == 1
+        assert store.memory.stats().entries == 1
+        assert store.disk.stats().entries == 1
         assert store.clear() == 1
-        assert store.tier_stats()["memory"].entries == 0
+        assert store.memory.stats().entries == 0
+        assert store.disk.stats().entries == 0
         assert store.get(job) is None
 
 
@@ -144,10 +133,6 @@ class TestMakeStore:
         assert isinstance(store, DiskStore)
         assert store.root == tmp_path
 
-    def test_instance_passes_through(self):
-        store = MemoryStore()
-        assert make_store(store) is store
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown store"):
             make_store("redis")
@@ -155,10 +140,3 @@ class TestMakeStore:
     def test_max_bytes_reaches_memory_tier(self, tmp_path):
         assert make_store("tiered", root=tmp_path).memory.max_bytes \
             == DEFAULT_MEMORY_BUDGET
-
-    def test_describe_store(self, tmp_path):
-        assert describe_store(None) == "off"
-        assert str(tmp_path) in describe_store(make_store(root=tmp_path))
-        assert describe_store(MemoryStore()) == "memory"
-        assert "tiered" in describe_store(
-            make_store("tiered", root=tmp_path))

@@ -83,12 +83,24 @@ class TestBlessAndDiff:
         assert "golden changed" in capsys.readouterr().out
 
 
-class TestCacheOptIn:
-    def test_cache_off_by_default_on_by_flag(self, matrix_file, tmp_path):
+class TestNoCache:
+    def test_run_writes_nothing_to_the_cache_dir(self, matrix_file,
+                                                 tmp_path, monkeypatch):
         cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
         assert main(["run", "--matrix", matrix_file,
                      "--oracles", "two_pole"]) == 0
-        assert not cache_dir.exists()
-        assert main(["run", "--matrix", matrix_file, "--oracles", "two_pole",
-                     "--cache-dir", str(cache_dir)]) == 0
-        assert any(cache_dir.rglob("*.json"))
+        assert list(cache_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("option", [["--cache-dir", "d"],
+                                        ["--store", "tiered"]],
+                             ids=["cache-dir", "store"])
+    def test_cache_options_are_usage_errors(self, matrix_file, option,
+                                            capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--matrix", matrix_file, *option])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"unrecognized arguments: {' '.join(option)}" in err
